@@ -59,18 +59,19 @@ Status ChosenPathIndex::Build(const Dataset* data,
   build_stats_ = IndexBuildStats{};
   build_stats_.repetitions = reps;
   table_ = FilterTable();
+  PathScratch scratch;
   std::vector<uint64_t> keys;
   for (VectorId id = 0; id < n; ++id) {
-    auto x = data->Get(id);
-    for (int rep = 0; rep < reps; ++rep) {
-      keys.clear();
-      PathGenStats gen;
-      engine_->ComputeFilters(x, static_cast<uint32_t>(rep), &keys, &gen);
-      build_stats_.nodes_expanded += gen.nodes_expanded;
-      if (gen.cap_hit) build_stats_.cap_hits++;
-      for (uint64_t key : keys) table_.Add(key, id);
-      build_stats_.total_filters += keys.size();
-    }
+    keys.clear();
+    PathGenStats gen;
+    size_t capped = 0;
+    engine_->Prepare(data->Get(id), &scratch);
+    engine_->Generate(&scratch, 0, static_cast<uint32_t>(reps), &keys,
+                      nullptr, &gen, &capped);
+    build_stats_.nodes_expanded += gen.nodes_expanded;
+    build_stats_.cap_hits += capped;
+    for (uint64_t key : keys) table_.Add(key, id);
+    build_stats_.total_filters += keys.size();
   }
   table_.Freeze();
   build_stats_.distinct_keys = table_.num_keys();
@@ -83,6 +84,7 @@ Status ChosenPathIndex::Build(const Dataset* data,
 
 // Reusable per-thread query workspace; see SkewedPathIndex::QueryScratch.
 struct ChosenPathIndex::QueryScratch {
+  PathScratch path;
   std::vector<uint64_t> keys;
   std::unordered_set<VectorId> seen;
   PathGenStats path_gen;
@@ -104,11 +106,12 @@ std::optional<Match> ChosenPathIndex::QueryImpl(std::span<const ItemId> query,
     std::vector<uint64_t>& keys = scratch->keys;
     std::unordered_set<VectorId>& seen = scratch->seen;
     seen.clear();
+    engine_->Prepare(query, &scratch->path);
     for (int rep = 0; rep < build_stats_.repetitions && !found; ++rep) {
       keys.clear();
       PathGenStats gen;
-      engine_->ComputeFilters(query, static_cast<uint32_t>(rep), &keys,
-                              &gen);
+      const uint32_t r = static_cast<uint32_t>(rep);
+      engine_->Generate(&scratch->path, r, r + 1, &keys, nullptr, &gen);
       AddPathGenStats(&scratch->path_gen, gen);
       local.filters += keys.size();
       for (uint64_t key : keys) {
@@ -162,22 +165,23 @@ std::vector<Match> ChosenPathIndex::QueryAll(std::span<const ItemId> query,
   QueryStats local;
   std::vector<Match> out;
   if (engine_ != nullptr && !query.empty()) {
+    // Every repetition is probed: generate all keys in one range.
+    PathScratch scratch;
     std::vector<uint64_t> keys;
+    engine_->Prepare(query, &scratch);
+    engine_->Generate(&scratch, 0,
+                      static_cast<uint32_t>(build_stats_.repetitions), &keys,
+                      nullptr, nullptr);
+    local.filters += keys.size();
     std::unordered_set<VectorId> seen;
-    for (int rep = 0; rep < build_stats_.repetitions; ++rep) {
-      keys.clear();
-      engine_->ComputeFilters(query, static_cast<uint32_t>(rep), &keys,
-                              nullptr);
-      local.filters += keys.size();
-      for (uint64_t key : keys) {
-        auto postings = table_.Lookup(key);
-        local.candidates += postings.size();
-        for (VectorId id : postings) {
-          if (!seen.insert(id).second) continue;
-          local.verifications++;
-          double sim = BraunBlanquet(query, data_->Get(id));
-          if (sim >= threshold) out.push_back({id, sim});
-        }
+    for (uint64_t key : keys) {
+      auto postings = table_.Lookup(key);
+      local.candidates += postings.size();
+      for (VectorId id : postings) {
+        if (!seen.insert(id).second) continue;
+        local.verifications++;
+        double sim = BraunBlanquet(query, data_->Get(id));
+        if (sim >= threshold) out.push_back({id, sim});
       }
     }
     local.distinct_candidates = seen.size();

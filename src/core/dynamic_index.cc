@@ -455,10 +455,9 @@ Status DynamicIndex::ApplyInsert(VectorId id, std::span<const ItemId> items,
     edition = shard.state.load(std::memory_order_seq_cst)->edition.get();
   }
   std::vector<uint64_t> keys;
-  std::vector<size_t> key_offsets;
   auto compute = [&](const Edition& ed) {
-    // Fused all-repetitions pass; identical to per-rep concatenation.
-    ed.family.ComputeAllFilters(items, &keys, &key_offsets);
+    // All repetitions; identical to the per-rep concatenation.
+    ed.family.ComputeAllFilters(items, &keys);
   };
   compute(*edition);
 
@@ -751,11 +750,11 @@ Status DynamicIndex::RebuildShardLocked(
   FilterTable fresh;
   auto base_counts = std::make_shared<PostingMap<VectorId, uint32_t>>();
   PostingMap<VectorId, uint32_t> replayed;  // live inserted ids
+  PathScratch scratch;  // reused across the replayed vectors
   std::vector<uint64_t> keys;
-  std::vector<size_t> key_offsets;
   auto replay = [&](std::span<const ItemId> items, VectorId id) {
-    // Fused all-repetitions pass; identical to per-rep concatenation.
-    family.ComputeAllFilters(items, &keys, &key_offsets);
+    family.ComputeAllFilters(items, &keys, nullptr, nullptr, nullptr,
+                             &scratch);
     for (uint64_t key : keys) fresh.Add(key, id);
     return static_cast<uint32_t>(keys.size());
   };
@@ -815,7 +814,7 @@ Status DynamicIndex::RebuildShardLocked(
     // Inserted while we were replaying: generate its postings under
     // the new edition now (bounded by the churn, not the shard size).
     family.ComputeAllFilters({record->items.data(), record->items.size()},
-                             &keys, &key_offsets);
+                             &keys, nullptr, nullptr, nullptr, &scratch);
     for (uint64_t key : keys) delta[key].push_back(id);
     delta_entries += keys.size();
     auto fresh_record = std::make_shared<ShardState::InsertedVector>();
@@ -897,22 +896,29 @@ std::span<const ItemId> DynamicIndex::ItemsOf(const ShardState& state,
 }
 
 // Per-query workspace reused across a batch. Editions are keyed by
-// pointer; almost every query sees exactly one.
+// pointer; almost every query sees exactly one. Entries past `live` are
+// kept only for their buffers.
 struct DynamicIndex::QueryScratch {
   struct EditionKeys {
     const Edition* edition = nullptr;
+    PathScratch path;  // the query, prepared under this edition's family
     std::vector<uint64_t> keys;
   };
   std::vector<EditionKeys> editions;
+  size_t live = 0;
   std::vector<PostingSet<VectorId>> seen;
   PathGenStats path_gen;
 
+  std::span<EditionKeys> Live() { return {editions.data(), live}; }
+
   EditionKeys& KeysFor(const Edition* edition) {
-    for (EditionKeys& entry : editions) {
+    for (EditionKeys& entry : Live()) {
       if (entry.edition == edition) return entry;
     }
-    editions.push_back(EditionKeys{edition, {}});
-    return editions.back();
+    if (live == editions.size()) editions.emplace_back();
+    EditionKeys& entry = editions[live++];
+    entry.edition = edition;
+    return entry;
   }
 };
 
@@ -967,21 +973,25 @@ std::optional<Match> DynamicIndex::QueryImpl(
     scratch->seen.resize(num);
     for (auto& seen : scratch->seen) seen.clear();
     // Editions referenced by this view (usually one; two mid-rebuild).
-    scratch->editions.clear();
+    scratch->live = 0;
     int max_reps = 0;
     for (const void* raw : states) {
       const auto* state = static_cast<const ShardState*>(raw);
       scratch->KeysFor(state->edition.get());
       max_reps = std::max(max_reps, state->edition->family.repetitions());
     }
+    for (auto& entry : scratch->Live()) {
+      entry.edition->family.engine().Prepare(query, &entry.path);
+    }
     std::vector<RepHit> hits(num);
     for (int rep = 0; rep < max_reps && !found; ++rep) {
-      for (auto& entry : scratch->editions) {
+      for (auto& entry : scratch->Live()) {
         if (rep >= entry.edition->family.repetitions()) continue;
         entry.keys.clear();
         PathGenStats gen;
-        entry.edition->family.ComputeFilters(
-            query, static_cast<uint32_t>(rep), &entry.keys, &gen);
+        const uint32_t r = static_cast<uint32_t>(rep);
+        entry.edition->family.engine().Generate(&entry.path, r, r + 1,
+                                                &entry.keys, nullptr, &gen);
         AddPathGenStats(&scratch->path_gen, gen);
         local.filters += entry.keys.size();
       }
@@ -1031,9 +1041,8 @@ std::vector<Match> DynamicIndex::QueryAllImpl(
       }
       keys.emplace_back(edition, std::vector<uint64_t>());
       std::vector<uint64_t>& fresh = keys.back().second;
-      // All repetitions probed (no early exit): one fused pass.
-      std::vector<size_t> offsets;
-      edition->family.ComputeAllFilters(query, &fresh, &offsets);
+      // All repetitions probed (no early exit): one range [0, L).
+      edition->family.ComputeAllFilters(query, &fresh);
       local.filters += fresh.size();
       return fresh;
     };

@@ -1,236 +1,193 @@
 #include "core/path_engine.h"
 
 #include <algorithm>
+#include <bit>
+#include <cassert>
+
+#include "core/query_stats.h"
+#include "hashing/mix.h"
 
 namespace skewsearch {
-
-namespace {
-
-// One node of the recursion forest, stored in a flat arena. Parent links
-// let the without-replacement check walk the (short) ancestor chain instead
-// of storing an item set per node.
-struct Node {
-  uint64_t key;
-  double log_inv_prod;  // sum of ln(1/p_i) along the path
-  int32_t parent;       // index into the arena, -1 for roots
-  ItemId item;          // item appended to create this node
-  int32_t depth;        // path length; 0 for the root (whose item is unused)
-};
-
-bool PathContains(const std::vector<Node>& arena, int32_t node, ItemId item) {
-  // The root (depth 0) carries no item; stop before inspecting it.
-  while (node >= 0 && arena[static_cast<size_t>(node)].depth > 0) {
-    if (arena[static_cast<size_t>(node)].item == item) return true;
-    node = arena[static_cast<size_t>(node)].parent;
-  }
-  return false;
-}
-
-// Node of the fused all-repetitions forest: same layout plus the owning
-// repetition, so one arena can interleave all L recursion trees.
-struct FusedNode {
-  uint64_t key;
-  double log_inv_prod;
-  int32_t parent;
-  ItemId item;
-  int32_t depth;
-  uint32_t rep;
-};
-
-bool FusedPathContains(const std::vector<FusedNode>& arena, int32_t node,
-                       ItemId item) {
-  while (node >= 0 && arena[static_cast<size_t>(node)].depth > 0) {
-    if (arena[static_cast<size_t>(node)].item == item) return true;
-    node = arena[static_cast<size_t>(node)].parent;
-  }
-  return false;
-}
-
-}  // namespace
 
 PathEngine::PathEngine(const ProductDistribution* dist,
                        const ThresholdPolicy* policy, const PathHasher* hasher,
                        const PathEngineOptions& options)
     : dist_(dist), policy_(policy), hasher_(hasher), options_(options) {}
 
-void PathEngine::ComputeFilters(std::span<const ItemId> x, uint32_t rep,
-                                std::vector<uint64_t>* out,
-                                PathGenStats* stats) const {
-  PathGenStats local;
-  if (!x.empty()) {
-    std::vector<Node> arena;
-    arena.reserve(64);
-    std::vector<int32_t> frontier;
-    std::vector<int32_t> next;
-
-    arena.push_back(Node{hasher_->RootKey(rep), 0.0, -1, 0, 0});
-    frontier.push_back(0);
-
-    const size_t vec_size = x.size();
-    bool done = false;
-    while (!frontier.empty() && !done) {
-      next.clear();
-      for (int32_t node_idx : frontier) {
-        // Copy the node: the arena may reallocate while children are added.
-        const Node node = arena[static_cast<size_t>(node_idx)];
-        if (node.depth >= options_.max_depth) continue;
-        local.nodes_expanded++;
-        const int level = node.depth + 1;
-        for (ItemId item : x) {
-          if (options_.without_replacement &&
-              PathContains(arena, node_idx, item)) {
-            continue;
-          }
-          local.draws++;
-          // A threshold >= 1 accepts unconditionally. When both a data
-          // vector and a query draw (thresholds may differ, e.g. through
-          // |x| vs |q|), they compare against the *same* LevelDraw value,
-          // which is what makes shared prefixes evolve consistently.
-          double threshold = policy_->Threshold(vec_size, node.depth, item);
-          if (threshold < 1.0 &&
-              hasher_->LevelDraw(level, node.key, item) >= threshold) {
-            continue;
-          }
-          Node child;
-          child.key = hasher_->ExtendKey(node.key, item);
-          child.log_inv_prod = node.log_inv_prod + dist_->LogInvP(item);
-          child.parent = node_idx;
-          child.item = item;
-          child.depth = level;
-
-          bool is_filter =
-              options_.stop_rule == StopRule::kProbability
-                  ? child.log_inv_prod >= options_.log_n
-                  : child.depth >= options_.fixed_depth;
-          if (is_filter) {
-            out->push_back(child.key);
-            local.filters_emitted++;
-          } else {
-            arena.push_back(child);
-            next.push_back(static_cast<int32_t>(arena.size() - 1));
-          }
-          if (arena.size() + local.filters_emitted >= options_.max_paths) {
-            local.cap_hit = true;
-            done = true;
-            break;
-          }
-        }
-        if (done) break;
+void PathEngine::Prepare(std::span<const ItemId> x,
+                         PathScratch* scratch) const {
+  const size_t n = x.size();
+  scratch->engine_ = this;
+  scratch->x_ = x;
+  scratch->use_mask_ = options_.without_replacement && n <= 64;
+  scratch->thresholds_.clear();
+  scratch->items_.resize(n);
+  bool distinct = true;  // sparse vectors are sorted and duplicate-free
+  for (size_t k = 0; k < n; ++k) {
+    PathScratch::Item& item = scratch->items_[k];
+    item.extend_mix = PathHasher::ExtendItemMix(x[k]);
+    item.draw_mix = PathHasher::DrawItemMix(x[k]);
+    item.log_inv_p = dist_->LogInvP(x[k]);
+    item.same_item = scratch->use_mask_ ? uint64_t{1} << k : 0;
+    if (k > 0 && x[k] <= x[k - 1]) distinct = false;
+  }
+  if (scratch->use_mask_ && !distinct) {
+    // A repeated item must be excluded at every position holding it, as
+    // the ancestor walk (which compares items, not positions) would.
+    for (size_t k = 0; k < n; ++k) {
+      for (size_t j = 0; j < n; ++j) {
+        if (x[j] == x[k]) scratch->items_[k].same_item |= uint64_t{1} << j;
       }
-      frontier.swap(next);
     }
   }
-  if (stats != nullptr) *stats = local;
 }
 
-void PathEngine::ComputeFiltersAllReps(std::span<const ItemId> x,
-                                       uint32_t reps,
-                                       std::vector<uint64_t>* keys,
-                                       std::vector<size_t>* offsets,
-                                       PathGenStats* stats,
-                                       size_t* capped_reps) const {
-  PathGenStats total;
-  size_t capped = 0;
-  keys->clear();
-  offsets->assign(static_cast<size_t>(reps) + 1, 0);
-  if (!x.empty() && reps > 0) {
-    // (rep, key) in emission order; scattered into per-rep groups below.
-    std::vector<std::pair<uint32_t, uint64_t>> emitted;
-    std::vector<FusedNode> arena;
-    arena.reserve(static_cast<size_t>(reps) * 2);
-    std::vector<int32_t> frontier;
-    std::vector<int32_t> next;
-    // Per-repetition cap accounting mirroring the single-rep run, where
-    // the budget is arena-nodes-of-this-rep (root included) + emissions.
-    std::vector<size_t> live(reps, 1);
-    std::vector<size_t> emitted_count(reps, 0);
-    std::vector<uint8_t> done(reps, 0);
-
-    for (uint32_t rep = 0; rep < reps; ++rep) {
-      arena.push_back(
-          FusedNode{hasher_->RootKey(rep), 0.0, -1, 0, 0, rep});
-      frontier.push_back(static_cast<int32_t>(rep));
+const PathScratch::Threshold* PathEngine::LevelThresholds(
+    PathScratch* scratch, int depth) const {
+  const size_t n = scratch->x_.size();
+  std::vector<PathScratch::Threshold>& table = scratch->thresholds_;
+  while (table.size() < (static_cast<size_t>(depth) + 1) * n) {
+    const int row = static_cast<int>(table.size() / n);
+    for (ItemId item : scratch->x_) {
+      const double t = policy_->Threshold(n, row, item);
+      table.push_back({t, UnitCutoff(t)});
     }
+  }
+  return &table[static_cast<size_t>(depth) * n];
+}
 
-    const size_t vec_size = x.size();
-    // Thresholds and ln(1/p) depend on (|x|, depth, item) but not on the
-    // repetition: computing them once per level is the L-fold saving.
-    std::vector<double> log_inv_p(vec_size);
-    for (size_t k = 0; k < vec_size; ++k) {
-      log_inv_p[k] = dist_->LogInvP(x[k]);
-    }
-    std::vector<double> thresholds(vec_size);
+template <PathEngine::Exclusion kExclusion>
+PathGenStats PathEngine::GenerateRep(PathScratch* scratch, uint32_t rep,
+                                     std::vector<uint64_t>* keys) const {
+  using Node = PathScratch::Node;
+  PathGenStats stats;
+  const std::span<const ItemId> x = scratch->x_;
+  const PathScratch::Item* items = scratch->items_.data();
+  const size_t n = x.size();
+  std::vector<Node>& arena = scratch->arena_;
+  arena.clear();
+  arena.push_back(Node{hasher_->RootKey(rep), 0.0, 0, -1, 0});
 
-    int depth = 0;
-    while (!frontier.empty()) {
-      // Level-synchronous: every frontier node sits at the same depth.
-      if (depth >= options_.max_depth) break;
-      for (size_t k = 0; k < vec_size; ++k) {
-        thresholds[k] = policy_->Threshold(vec_size, depth, x[k]);
-      }
-      const int level = depth + 1;
-      next.clear();
-      for (int32_t node_idx : frontier) {
-        const FusedNode node = arena[static_cast<size_t>(node_idx)];
-        const uint32_t rep = node.rep;
-        if (done[rep]) continue;
-        total.nodes_expanded++;
-        for (size_t k = 0; k < vec_size; ++k) {
-          const ItemId item = x[k];
-          if (options_.without_replacement &&
-              FusedPathContains(arena, node_idx, item)) {
-            continue;
+  size_t level_begin = 0;
+  for (int depth = 0; level_begin < arena.size() && depth < options_.max_depth;
+       ++depth) {
+    const int level = depth + 1;
+    const PathScratch::Threshold* thresholds = LevelThresholds(scratch, depth);
+    const uint64_t salt = hasher_->LevelSalt(level);
+    const PairwiseHash* pairwise = hasher_->LevelPairwise(level);
+    // The kFixedDepth stop rule depends on the level alone.
+    const bool fixed_depth_reached = level >= options_.fixed_depth;
+    const size_t level_end = arena.size();
+    for (size_t idx = level_begin; idx < level_end; ++idx) {
+      // Copy the node: the arena may reallocate while children are added.
+      const Node node = arena[idx];
+      stats.nodes_expanded++;
+      // Draws item k for this node; false once the path cap is hit.
+      auto draw = [&](size_t k) {
+        stats.draws++;
+        const PathScratch::Item& item = items[k];
+        const uint64_t child =
+            PathHasher::DrawChild(node.key, salt, item.draw_mix);
+        if (pairwise != nullptr) {
+          // A threshold >= 1 (or NaN) accepts unconditionally.
+          const double t = thresholds[k].value;
+          if (t < 1.0 && pairwise->HashUnit(child) >= t) return true;
+        } else if ((PathHasher::MixerDrawBits(child) >> 11) >=
+                   thresholds[k].cutoff) {
+          return true;
+        }
+        const uint64_t key =
+            PathHasher::ExtendKeyMixed(node.key, item.extend_mix);
+        const double log_inv_prod = node.log_inv_prod + item.log_inv_p;
+        bool is_filter = fixed_depth_reached;
+        if (options_.stop_rule == StopRule::kProbability) {
+          is_filter = log_inv_prod >= options_.log_n;
+        }
+        if (is_filter) {
+          keys->push_back(key);
+          stats.filters_emitted++;
+        } else {
+          arena.push_back(Node{key, log_inv_prod, node.used | item.same_item,
+                               static_cast<int32_t>(idx),
+                               static_cast<uint32_t>(k)});
+        }
+        if (arena.size() + stats.filters_emitted >= options_.max_paths) {
+          stats.cap_hit = true;
+          return false;
+        }
+        return true;
+      };
+      if constexpr (kExclusion == Exclusion::kMask) {
+        const uint64_t all = n == 64 ? ~uint64_t{0} : (uint64_t{1} << n) - 1;
+        for (uint64_t open = all & ~node.used; open != 0; open &= open - 1) {
+          if (!draw(static_cast<size_t>(std::countr_zero(open)))) return stats;
+        }
+      } else {
+        // kWalk walks the ancestor chain once per node, not once per
+        // item; the root (index 0) carries no item. kNone skips nothing.
+        std::vector<ItemId>& on_path = scratch->on_path_;
+        on_path.clear();
+        for (size_t a = idx; kExclusion == Exclusion::kWalk && a > 0;
+             a = static_cast<size_t>(arena[a].parent)) {
+          on_path.push_back(x[arena[a].pos]);
+        }
+        for (size_t k = 0; k < n; ++k) {
+          if (std::find(on_path.begin(), on_path.end(), x[k]) !=
+              on_path.end()) {
+            continue;  // x[k] is already on the path
           }
-          total.draws++;
-          const double threshold = thresholds[k];
-          if (threshold < 1.0 &&
-              hasher_->LevelDraw(level, node.key, item) >= threshold) {
-            continue;
-          }
-          FusedNode child;
-          child.key = hasher_->ExtendKey(node.key, item);
-          child.log_inv_prod = node.log_inv_prod + log_inv_p[k];
-          child.parent = node_idx;
-          child.item = item;
-          child.depth = level;
-          child.rep = rep;
-
-          const bool is_filter =
-              options_.stop_rule == StopRule::kProbability
-                  ? child.log_inv_prod >= options_.log_n
-                  : child.depth >= options_.fixed_depth;
-          if (is_filter) {
-            emitted.push_back({rep, child.key});
-            emitted_count[rep]++;
-            total.filters_emitted++;
-          } else {
-            arena.push_back(child);
-            next.push_back(static_cast<int32_t>(arena.size() - 1));
-            live[rep]++;
-          }
-          if (live[rep] + emitted_count[rep] >= options_.max_paths) {
-            total.cap_hit = true;
-            done[rep] = 1;
-            capped++;
-            break;
-          }
+          if (!draw(k)) return stats;
         }
       }
-      frontier.swap(next);
-      ++depth;
     }
+    level_begin = level_end;
+  }
+  return stats;
+}
 
-    // Stable counting scatter: emissions are level-major; within a
-    // repetition their relative order equals the single-rep run's, so
-    // each group comes out byte-identical to ComputeFilters(x, rep).
-    for (const auto& [rep, key] : emitted) (*offsets)[rep + 1]++;
-    for (size_t r = 1; r <= reps; ++r) (*offsets)[r] += (*offsets)[r - 1];
-    keys->resize(emitted.size());
-    std::vector<size_t> cursor(offsets->begin(), offsets->end() - 1);
-    for (const auto& [rep, key] : emitted) (*keys)[cursor[rep]++] = key;
+void PathEngine::Generate(PathScratch* scratch, uint32_t rep_begin,
+                          uint32_t rep_end, std::vector<uint64_t>* keys,
+                          std::vector<size_t>* offsets, PathGenStats* stats,
+                          size_t* capped_reps) const {
+  assert(scratch->engine_ == this && "scratch prepared by another engine");
+  Exclusion exclusion = Exclusion::kNone;
+  if (scratch->use_mask_) {
+    exclusion = Exclusion::kMask;
+  } else if (options_.without_replacement) {
+    exclusion = Exclusion::kWalk;
+  }
+  auto generate_rep = [&](uint32_t rep) {
+    switch (exclusion) {
+      case Exclusion::kMask:
+        return GenerateRep<Exclusion::kMask>(scratch, rep, keys);
+      case Exclusion::kWalk:
+        return GenerateRep<Exclusion::kWalk>(scratch, rep, keys);
+      case Exclusion::kNone:
+        break;
+    }
+    return GenerateRep<Exclusion::kNone>(scratch, rep, keys);
+  };
+  PathGenStats total;
+  size_t capped = 0;
+  if (offsets != nullptr) offsets->assign(1, keys->size());
+  for (uint32_t rep = rep_begin; rep < rep_end; ++rep) {
+    if (!scratch->x_.empty()) {
+      const PathGenStats one = generate_rep(rep);
+      AddPathGenStats(&total, one);
+      if (one.cap_hit) capped++;
+    }
+    if (offsets != nullptr) offsets->push_back(keys->size());
   }
   if (stats != nullptr) *stats = total;
   if (capped_reps != nullptr) *capped_reps = capped;
+}
+
+void PathEngine::ComputeFilters(std::span<const ItemId> x, uint32_t rep,
+                                std::vector<uint64_t>* out,
+                                PathGenStats* stats) const {
+  PathScratch scratch;
+  Prepare(x, &scratch);
+  Generate(&scratch, rep, rep + 1, out, nullptr, stats);
 }
 
 }  // namespace skewsearch

@@ -59,45 +59,109 @@ struct PathGenStats {
   bool cap_hit = false;        ///< true if max_paths truncated the growth
 };
 
+class PathEngine;
+
+/// \brief Per-vector preparation and reusable buffers of the path engine.
+///
+/// PathEngine::Prepare fills it for one vector x: both item mixes of the
+/// path hashes and ln(1/p_i) per item, plus (without replacement, |x| <=
+/// 64) the position masks that replace the ancestor walk. Threshold rows
+/// s(x, j, .) are filled the first time any repetition reaches depth j.
+/// Generate reuses all of it for any repetition range, so the per-item
+/// work is paid once per vector. Reuse across vectors keeps the
+/// allocations; one thread at a time; x is borrowed until the next
+/// Prepare.
+class PathScratch {
+ private:
+  friend class PathEngine;
+
+  struct Item {
+    uint64_t extend_mix;  // PathHasher::ExtendItemMix(x[k])
+    uint64_t draw_mix;    // PathHasher::DrawItemMix(x[k])
+    double log_inv_p;     // ln(1 / p_{x[k]})
+    uint64_t same_item;   // positions holding x[k] (mask mode only)
+  };
+  struct Threshold {
+    double value;     // s(x, depth, x[k])
+    uint64_t cutoff;  // UnitCutoff(value)
+  };
+  // One node of a repetition's recursion tree. Children are appended
+  // behind their parents' level, so each level is a contiguous index
+  // range of the arena and no frontier list is needed.
+  struct Node {
+    uint64_t key;
+    double log_inv_prod;  // sum of ln(1/p_i) along the path
+    uint64_t used;        // positions already on the path (mask mode)
+    int32_t parent;       // arena index; the root is index 0
+    uint32_t pos;         // position in x of the item appended last
+  };
+
+  const PathEngine* engine_ = nullptr;  // who prepared it
+  std::span<const ItemId> x_;
+  bool use_mask_ = false;
+  std::vector<Item> items_;
+  std::vector<Threshold> thresholds_;  // depth-major, |x| per depth
+  std::vector<Node> arena_;
+  std::vector<ItemId> on_path_;  // the expanded node's items (walk mode)
+};
+
 /// \brief Computes filter sets F(x).
 ///
-/// Stateless between calls; safe for concurrent use from multiple threads.
+/// One level-synchronous engine over a repetition range: Prepare does a
+/// vector's per-item work once, Generate grows each repetition's tree of
+/// the range level by level. Per level it fetches the threshold row and
+/// hash salt; per draw it mixes two words and compares integers (kMixer:
+/// the draw's 53 random bits against UnitCutoff(threshold); kPairwise
+/// compares doubles against the same row). "All repetitions" is [0, L);
+/// keys and PathGenStats do not depend on how a range is split.
+///
+/// Stateless between calls; thread-safe with one PathScratch per thread.
 class PathEngine {
  public:
   /// All pointers are borrowed and must outlive the engine.
   PathEngine(const ProductDistribution* dist, const ThresholdPolicy* policy,
              const PathHasher* hasher, const PathEngineOptions& options);
 
-  /// Appends the filter keys of F(x) for repetition \p rep to \p out.
-  /// \p stats may be null.
+  /// Prepares \p x into \p scratch for Generate (see PathScratch).
+  void Prepare(std::span<const ItemId> x, PathScratch* scratch) const;
+
+  /// Appends the filter keys of F_r(x) for r in [rep_begin, rep_end) to
+  /// \p keys, repetition by repetition, for the vector last prepared into
+  /// \p scratch. \p offsets (may be null) is set to the rep_end -
+  /// rep_begin + 1 positions in \p keys bracketing each repetition's
+  /// group. \p stats (may be null) receives counters summed over the
+  /// range with cap_hit = "any repetition truncated"; \p capped_reps (may
+  /// be null) receives the number of truncated repetitions.
+  void Generate(PathScratch* scratch, uint32_t rep_begin, uint32_t rep_end,
+                std::vector<uint64_t>* keys,
+                std::vector<size_t>* offsets = nullptr,
+                PathGenStats* stats = nullptr,
+                size_t* capped_reps = nullptr) const;
+
+  /// One-shot Prepare + Generate of repetition \p rep with a fresh
+  /// scratch: appends the filter keys of F_rep(x) to \p out. \p stats
+  /// may be null.
   void ComputeFilters(std::span<const ItemId> x, uint32_t rep,
                       std::vector<uint64_t>* out, PathGenStats* stats) const;
-
-  /// Computes F_r(x) for every repetition r in [0, reps) in ONE fused
-  /// level-synchronous pass (the fast-similarity-sketching idea applied
-  /// to the chosen-path recursion: all repetitions' coordinates in one
-  /// walk). All L recursion trees advance through one shared arena, so
-  /// the per-level policy thresholds and ln(1/p) terms — which depend on
-  /// (|x|, depth, item) but NOT on the repetition — are computed once per
-  /// level instead of L times, and the arena/frontier allocations are
-  /// shared.
-  ///
-  /// \p keys receives repetition 0's filter keys, then repetition 1's,
-  /// ...; \p offsets receives reps + 1 entries bracketing each
-  /// repetition's group. Each group is byte-identical to what
-  /// ComputeFilters(x, r, ...) appends (asserted by tests). \p stats
-  /// (may be null) receives counters summed over repetitions with
-  /// cap_hit = "any repetition truncated"; \p capped_reps (may be null)
-  /// receives the number of truncated repetitions.
-  void ComputeFiltersAllReps(std::span<const ItemId> x, uint32_t reps,
-                             std::vector<uint64_t>* keys,
-                             std::vector<size_t>* offsets,
-                             PathGenStats* stats,
-                             size_t* capped_reps = nullptr) const;
 
   const PathEngineOptions& options() const { return options_; }
 
  private:
+  /// The threshold row of \p depth, filled on first use.
+  const PathScratch::Threshold* LevelThresholds(PathScratch* scratch,
+                                                int depth) const;
+
+  /// How GenerateRep skips items already on a path.
+  enum class Exclusion {
+    kNone,  ///< sampling with replacement: nothing is skipped
+    kMask,  ///< |x| <= 64: test the node's position mask
+    kWalk,  ///< |x| > 64: list the ancestors' items once per node
+  };
+
+  template <Exclusion kExclusion>
+  PathGenStats GenerateRep(PathScratch* scratch, uint32_t rep,
+                           std::vector<uint64_t>* keys) const;
+
   const ProductDistribution* dist_;
   const ThresholdPolicy* policy_;
   const PathHasher* hasher_;

@@ -84,15 +84,15 @@ Status BuildShardTables(const Dataset& data, const FilterFamily& family,
   };
 
   if (build_threads <= 1) {
-    // Fused all-repetitions pass (see FilterFamily::ComputeAllFilters):
-    // per-rep key groups are byte-identical to per-rep calls.
+    // Each vector is prepared once and all repetitions generated from
+    // it; one scratch keeps its buffers across vectors.
+    PathScratch scratch;
     std::vector<uint64_t> keys;
-    std::vector<size_t> offsets;
     for (VectorId id = 0; id < n; ++id) {
-      auto x = data.Get(id);
       PathGenStats gen;
       size_t capped = 0;
-      family.ComputeAllFilters(x, &keys, &offsets, &gen, &capped);
+      family.ComputeAllFilters(data.Get(id), &keys, nullptr, &gen, &capped,
+                               &scratch);
       stats->nodes_expanded += gen.nodes_expanded;
       stats->cap_hits += capped;
       for (uint64_t key : keys) emit(key, id);
@@ -104,8 +104,8 @@ Status BuildShardTables(const Dataset& data, const FilterFamily& family,
   } else {
     struct Slot {
       std::vector<std::pair<uint64_t, VectorId>> pairs;
+      PathScratch scratch;
       std::vector<uint64_t> keys;
-      std::vector<size_t> offsets;
       size_t nodes_expanded = 0;
       size_t cap_hits = 0;
     };
@@ -115,11 +115,11 @@ Status BuildShardTables(const Dataset& data, const FilterFamily& family,
                                           int slot_id) {
       Slot& slot = slots[static_cast<size_t>(slot_id)];
       for (size_t id = begin; id < end; ++id) {
-        auto x = data.Get(static_cast<VectorId>(id));
         PathGenStats gen;
         size_t capped = 0;
-        family.ComputeAllFilters(x, &slot.keys, &slot.offsets, &gen,
-                                 &capped);
+        family.ComputeAllFilters(data.Get(static_cast<VectorId>(id)),
+                                 &slot.keys, nullptr, &gen, &capped,
+                                 &slot.scratch);
         slot.nodes_expanded += gen.nodes_expanded;
         slot.cap_hits += capped;
         for (uint64_t key : slot.keys) {
@@ -130,6 +130,18 @@ Status BuildShardTables(const Dataset& data, const FilterFamily& family,
         }
       }
     });
+    // Size each shard's posting arena before the serial emit loop, so
+    // it does not grow by doubling.
+    std::vector<size_t> shard_pairs(static_cast<size_t>(num_shards), 0);
+    for (const Slot& slot : slots) {
+      for (const auto& pair : slot.pairs) {
+        shard_pairs[static_cast<size_t>(
+            ShardedIndex::ShardOf(pair.second, num_shards))]++;
+      }
+    }
+    for (size_t s = 0; s < shard_pairs.size(); ++s) {
+      (*shards)[s].Reserve(shard_pairs[s]);
+    }
     for (const Slot& slot : slots) {
       stats->nodes_expanded += slot.nodes_expanded;
       stats->cap_hits += slot.cap_hits;
@@ -153,6 +165,7 @@ Status BuildShardTables(const Dataset& data, const FilterFamily& family,
 // per shard, the per-(rep, shard) hit/stat slots, and path-generation
 // counters for batch aggregation.
 struct ShardedIndex::QueryScratch {
+  PathScratch path;
   std::vector<uint64_t> keys;
   std::vector<PostingSet<VectorId>> seen;
   std::vector<RepHit> hits;
@@ -209,11 +222,13 @@ std::optional<Match> ShardedIndex::QueryImpl(std::span<const ItemId> query,
     const int num = num_shards();
     scratch->seen.resize(static_cast<size_t>(num));
     for (auto& seen : scratch->seen) seen.clear();
+    family_.engine().Prepare(query, &scratch->path);
     for (int rep = 0; rep < family_.repetitions() && !found; ++rep) {
       scratch->keys.clear();
       PathGenStats gen;
-      family_.ComputeFilters(query, static_cast<uint32_t>(rep),
-                             &scratch->keys, &gen);
+      const uint32_t r = static_cast<uint32_t>(rep);
+      family_.engine().Generate(&scratch->path, r, r + 1, &scratch->keys,
+                                nullptr, &gen);
       AddPathGenStats(&scratch->path_gen, gen);
       local.filters += scratch->keys.size();
       scratch->hits.assign(static_cast<size_t>(num), RepHit{});
@@ -267,10 +282,10 @@ std::vector<Match> ShardedIndex::QueryAll(std::span<const ItemId> query,
   std::vector<Match> out;
   if (built() && !query.empty()) {
     // QueryAll exhausts every repetition, so all keys can be computed up
-    // front (one fused pass) and each shard scanned exactly once.
+    // front (one all-repetitions pass) and each shard scanned exactly
+    // once.
     std::vector<uint64_t> keys;
-    std::vector<size_t> offsets;
-    family_.ComputeAllFilters(query, &keys, &offsets);
+    family_.ComputeAllFilters(query, &keys);
     local.filters = keys.size();
     const size_t num = shards_.size();
     std::vector<std::vector<Match>> matches(num);
@@ -344,10 +359,8 @@ std::vector<uint64_t> ShardedIndex::ComputeFilterKeys(
     std::span<const ItemId> query) const {
   std::vector<uint64_t> keys;
   if (!built()) return keys;
-  // Fused pass; groups are in repetition order, matching the per-rep
-  // concatenation exactly.
-  std::vector<size_t> offsets;
-  family_.ComputeAllFilters(query, &keys, &offsets);
+  // Groups come out in repetition order: the per-rep concatenation.
+  family_.ComputeAllFilters(query, &keys);
   return keys;
 }
 

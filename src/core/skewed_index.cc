@@ -9,6 +9,7 @@
 #include "core/frozen_shard.h"
 #include "core/index_io.h"
 #include "core/rho.h"
+#include "core/sharded_index.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "sim/measures.h"
@@ -165,9 +166,14 @@ void FilterFamily::ComputeAllFilters(std::span<const ItemId> x,
                                      std::vector<uint64_t>* keys,
                                      std::vector<size_t>* offsets,
                                      PathGenStats* stats,
-                                     size_t* capped_reps) const {
-  engine_->ComputeFiltersAllReps(x, static_cast<uint32_t>(repetitions_),
-                                 keys, offsets, stats, capped_reps);
+                                     size_t* capped_reps,
+                                     PathScratch* scratch) const {
+  PathScratch local;
+  if (scratch == nullptr) scratch = &local;
+  engine_->Prepare(x, scratch);
+  keys->clear();
+  engine_->Generate(scratch, 0, static_cast<uint32_t>(repetitions_), keys,
+                    offsets, stats, capped_reps);
 }
 
 Status SkewedPathIndex::Build(const Dataset* data,
@@ -193,78 +199,18 @@ Status SkewedPathIndex::Build(const Dataset* data,
   options_ = options;
   family_ = std::move(family).value();
 
-  const size_t n = data->size();
-  const int reps = family_.repetitions();
-
-  // Populate the inverted index -----------------------------------------
+  // Populate the inverted index: the one-shard case of the sharded
+  // builder, which emits every vector's keys exactly as a serial loop
+  // would and freezes the same table for any thread count.
   build_stats_ = IndexBuildStats{};
-  build_stats_.repetitions = reps;
+  build_stats_.repetitions = family_.repetitions();
   build_stats_.delta_used = family_.delta();
-  table_ = FilterTable();
   frozen_.reset();
-
-  int threads = options.build_threads;
-  if (threads <= 1) {
-    // The fused all-repetitions pass amortizes the per-level policy
-    // thresholds across repetitions; its per-rep key groups are
-    // byte-identical to per-rep ComputeFilters calls.
-    std::vector<uint64_t> keys;
-    std::vector<size_t> offsets;
-    for (VectorId id = 0; id < n; ++id) {
-      auto x = data->Get(id);
-      PathGenStats gen;
-      size_t capped = 0;
-      family_.ComputeAllFilters(x, &keys, &offsets, &gen, &capped);
-      build_stats_.nodes_expanded += gen.nodes_expanded;
-      build_stats_.cap_hits += capped;
-      for (uint64_t key : keys) table_.Add(key, id);
-      build_stats_.total_filters += keys.size();
-    }
-  } else {
-    // Filter keys are deterministic given (seed, rep, x) and Freeze()
-    // sorts pairs by (key, id), so workers can emit into per-slot
-    // buffers in any schedule; the frozen table is identical to a
-    // serial build's.
-    struct Shard {
-      std::vector<std::pair<uint64_t, VectorId>> pairs;
-      std::vector<uint64_t> keys;     // reused across this slot's vectors
-      std::vector<size_t> offsets;    // likewise
-      size_t nodes_expanded = 0;
-      size_t cap_hits = 0;
-    };
-    ThreadPool pool(threads);
-    std::vector<Shard> shards(static_cast<size_t>(pool.num_threads()));
-    pool.ParallelFor(n, /*grain=*/64,
-                     [&](size_t begin, size_t end, int slot) {
-      Shard& shard = shards[static_cast<size_t>(slot)];
-      for (size_t id = begin; id < end; ++id) {
-        auto x = data->Get(static_cast<VectorId>(id));
-        PathGenStats gen;
-        size_t capped = 0;
-        family_.ComputeAllFilters(x, &shard.keys, &shard.offsets, &gen,
-                                  &capped);
-        shard.nodes_expanded += gen.nodes_expanded;
-        shard.cap_hits += capped;
-        for (uint64_t key : shard.keys) {
-          shard.pairs.push_back({key, static_cast<VectorId>(id)});
-        }
-      }
-    });
-    size_t total_pairs = 0;
-    for (const Shard& shard : shards) total_pairs += shard.pairs.size();
-    table_.Reserve(total_pairs);
-    for (const Shard& shard : shards) {
-      build_stats_.nodes_expanded += shard.nodes_expanded;
-      build_stats_.cap_hits += shard.cap_hits;
-      for (const auto& [key, id] : shard.pairs) table_.Add(key, id);
-      build_stats_.total_filters += shard.pairs.size();
-    }
-  }
-  table_.Freeze();
-  build_stats_.distinct_keys = table_.num_keys();
-  build_stats_.avg_filters_per_element =
-      static_cast<double>(build_stats_.total_filters) /
-      (static_cast<double>(n) * std::max(1, reps));
+  std::vector<FilterTable> tables;
+  SKEWSEARCH_RETURN_NOT_OK(sharded_internal::BuildShardTables(
+      *data, family_, /*num_shards=*/1, options.build_threads, &build_stats_,
+      &tables));
+  table_ = std::move(tables[0]);
   if (build_stats_.cap_hits > 0) {
     SKEWSEARCH_LOG(kWarning)
         << "path cap hit for " << build_stats_.cap_hits
@@ -279,10 +225,8 @@ std::vector<uint64_t> SkewedPathIndex::ComputeFilterKeys(
     std::span<const ItemId> query) const {
   std::vector<uint64_t> keys;
   if (!family_.valid()) return keys;
-  // Fused pass; groups are already in repetition order, matching the
-  // per-rep concatenation exactly.
-  std::vector<size_t> offsets;
-  family_.ComputeAllFilters(query, &keys, &offsets);
+  // Groups come out in repetition order: the per-rep concatenation.
+  family_.ComputeAllFilters(query, &keys);
   return keys;
 }
 
@@ -291,6 +235,7 @@ std::vector<uint64_t> SkewedPathIndex::ComputeFilterKeys(
 // worker slot answers, and path-generation counters accumulate here so a
 // batch can report them without touching shared state.
 struct SkewedPathIndex::QueryScratch {
+  PathScratch path;
   std::vector<uint64_t> keys;
   PostingSet<VectorId> seen;
   PathGenStats path_gen;
@@ -339,12 +284,15 @@ std::optional<Match> SkewedPathIndex::QueryImpl(std::span<const ItemId> query,
     std::vector<uint64_t>& keys = scratch->keys;
     PostingSet<VectorId>& seen = scratch->seen;
     seen.clear();
+    family_.engine().Prepare(query, &scratch->path);
     for (int rep = 0; rep < build_stats_.repetitions && !found; ++rep) {
       reps_probed++;
       const uint64_t rep_candidates_before = local.candidates;
       keys.clear();
       PathGenStats gen;
-      family_.ComputeFilters(query, static_cast<uint32_t>(rep), &keys, &gen);
+      const uint32_t r = static_cast<uint32_t>(rep);
+      family_.engine().Generate(&scratch->path, r, r + 1, &keys, nullptr,
+                                &gen);
       AddPathGenStats(&scratch->path_gen, gen);
       local.filters += keys.size();
       // Everything between phase_mark and here was filter generation;
@@ -399,11 +347,10 @@ std::vector<Match> SkewedPathIndex::QueryAll(std::span<const ItemId> query,
   QueryStats local;
   std::vector<Match> out;
   if (family_.valid() && !query.empty()) {
-    // QueryAll exhausts every repetition (no early exit), so the fused
-    // all-repetitions pass applies; key order matches the per-rep loop.
+    // QueryAll exhausts every repetition (no early exit), so all keys
+    // are generated up front; key order matches the per-rep loop.
     std::vector<uint64_t> keys;
-    std::vector<size_t> offsets;
-    family_.ComputeAllFilters(query, &keys, &offsets);
+    family_.ComputeAllFilters(query, &keys);
     local.filters += keys.size();
     PostingSet<VectorId> seen;
     for (uint64_t key : keys) {
@@ -462,7 +409,7 @@ std::vector<std::optional<Match>> SkewedPathIndex::BatchQuery(
 double SkewedPathIndex::EstimateCollisionRate(
     std::span<const ItemId> a, std::span<const ItemId> b) const {
   if (!family_.valid() || build_stats_.repetitions == 0) return 0.0;
-  // One fused pass per vector; repetition r's keys are the
+  // One all-repetitions pass per vector; repetition r's keys are the
   // offsets[r]..offsets[r+1] slice of each buffer.
   std::vector<uint64_t> keys_a, keys_b;
   std::vector<size_t> offs_a, offs_b;

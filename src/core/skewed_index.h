@@ -148,25 +148,30 @@ class FilterFamily {
                                       size_t n, int repetitions, double delta,
                                       double verify_threshold);
 
-  /// Appends the filter keys F_r(\p x) of repetition \p rep to \p keys.
-  /// \p stats may be null. Safe to call concurrently.
+  /// The family's path engine, for loops that stop after any repetition
+  /// (early-exit probes): they call its Prepare once per query and
+  /// Generate(r, r + 1) per repetition with a reused PathScratch.
+  const PathEngine& engine() const { return *engine_; }
+
+  /// One-shot form: appends the filter keys F_r(\p x) of repetition
+  /// \p rep to \p keys. \p stats may be null.
   void ComputeFilters(std::span<const ItemId> x, uint32_t rep,
                       std::vector<uint64_t>* keys,
                       PathGenStats* stats = nullptr) const;
 
-  /// Computes F_r(\p x) for ALL repetitions in one fused pass (the
-  /// fast-similarity-sketching idea: per-level thresholds are shared
-  /// across repetitions, so one walk replaces repetitions() independent
-  /// ones). \p keys holds repetition 0's keys, then repetition 1's, ...;
-  /// \p offsets gets repetitions() + 1 group boundaries. Each group is
-  /// byte-identical to the corresponding ComputeFilters(x, rep) output.
-  /// \p stats sums counters over repetitions; \p capped_reps (may be
-  /// null) counts truncated repetitions. Safe to call concurrently.
+  /// Every repetition at once: replaces \p keys with repetition 0's
+  /// keys, then repetition 1's, ... (the range [0, repetitions()) of the
+  /// one engine), and \p offsets (may be null) with the repetitions() + 1
+  /// group boundaries. \p stats sums counters over repetitions;
+  /// \p capped_reps (may be null) counts truncated repetitions. Loops
+  /// over many vectors pass one \p scratch (may be null: a fresh one) so
+  /// its buffers are reused.
   void ComputeAllFilters(std::span<const ItemId> x,
                          std::vector<uint64_t>* keys,
-                         std::vector<size_t>* offsets,
+                         std::vector<size_t>* offsets = nullptr,
                          PathGenStats* stats = nullptr,
-                         size_t* capped_reps = nullptr) const;
+                         size_t* capped_reps = nullptr,
+                         PathScratch* scratch = nullptr) const;
 
   /// True once Create()/Restore() succeeded.
   bool valid() const { return engine_ != nullptr; }

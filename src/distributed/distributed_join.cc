@@ -367,8 +367,8 @@ Result<std::vector<JoinPair>> DistributedJoin::JoinImpl(
   // afterwards, so the queues are independent of the schedule.
   struct RouteSlot {
     std::vector<std::vector<ProbeRequest>> queues;
+    PathScratch path;
     std::vector<uint64_t> keys;
-    std::vector<size_t> key_offsets;
     std::vector<std::vector<uint64_t>> worker_keys;
     std::vector<int> owners;
     size_t fanout_sum = 0;
@@ -390,8 +390,9 @@ Result<std::vector<JoinPair>> DistributedJoin::JoinImpl(
       auto query = left.Get(lid);
       if (query.empty()) continue;  // QueryAll answers empty probes empty
       slot.routed_probes++;
-      // Fused all-repetitions pass; key order matches per-rep calls.
-      family_.ComputeAllFilters(query, &slot.keys, &slot.key_offsets);
+      // All repetitions; key order matches per-rep calls.
+      family_.ComputeAllFilters(query, &slot.keys, nullptr, nullptr, nullptr,
+                                &slot.path);
       for (auto& keys : slot.worker_keys) keys.clear();
       for (uint64_t key : slot.keys) {
         slot.owners.clear();

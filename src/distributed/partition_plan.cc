@@ -163,18 +163,18 @@ Result<PartitionPlan> PartitionPlanner::PlanFromData(
                 options.sample_fraction *
                 static_cast<double>(std::numeric_limits<uint64_t>::max()));
   PostingMap<uint64_t, size_t> sampled_counts;
+  PathScratch scratch;
   std::vector<uint64_t> keys;
-  std::vector<size_t> offsets;
   size_t sampled_vectors = 0;
   for (VectorId id = 0; id < data.size(); ++id) {
     if (!sample_all && Mix64(options.sample_seed ^ id) > cutoff) {
       continue;
     }
     ++sampled_vectors;
-    auto x = data.Get(id);
-    // Fused all-repetitions pass (classification sorts by key below, so
-    // only the multiset of keys matters).
-    family.ComputeAllFilters(x, &keys, &offsets);
+    // All repetitions (classification sorts by key below, so only the
+    // multiset of keys matters).
+    family.ComputeAllFilters(data.Get(id), &keys, nullptr, nullptr, nullptr,
+                             &scratch);
     for (uint64_t key : keys) sampled_counts[key]++;
   }
 

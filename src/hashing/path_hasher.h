@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "hashing/mix.h"
 #include "hashing/pairwise.h"
 
 namespace skewsearch {
@@ -61,10 +62,55 @@ class PathHasher {
   /// the path being created (j + 1), 1-based.
   double LevelDraw(int level, uint64_t path_key, uint32_t item) const;
 
+  // Pre-mixed-item forms. ExtendKey and LevelDraw each mix the item with
+  // a fixed constant before combining it with the path key; those mixes
+  // depend on the item alone, so the path engine computes them once per
+  // vector and reuses them for every (repetition, node) it expands:
+  //
+  //   ExtendKey(key, i) == ExtendKeyMixed(key, ExtendItemMix(i))
+  //   c = DrawChild(key, LevelSalt(l), DrawItemMix(i))
+  //   LevelDraw(l, key, i) == LevelPairwise(l)->HashUnit(c)      (kPairwise)
+  //                        == ToUnitInterval(MixerDrawBits(c))   (kMixer)
+
+  /// The item half of ExtendKey.
+  static uint64_t ExtendItemMix(uint32_t item) {
+    return Mix64(0x1234567890abcdefULL ^ item);
+  }
+  /// The item half of LevelDraw.
+  static uint64_t DrawItemMix(uint32_t item) {
+    return Mix64(0x9e3779b97f4a7c15ULL ^ item);
+  }
+  static uint64_t ExtendKeyMixed(uint64_t path_key, uint64_t item_mix) {
+    return MixPair(path_key, item_mix);
+  }
+  /// Salt of the level-\p level hash function (levels wrap modulo
+  /// max_level()).
+  uint64_t LevelSalt(int level) const {
+    return level_salts_[LevelIndex(level)];
+  }
+  /// The 64-bit identity of the child path v o i that the level draw
+  /// hashes: the draw must identify the *child*, so it combines the
+  /// parent key with the item.
+  static uint64_t DrawChild(uint64_t path_key, uint64_t level_salt,
+                            uint64_t item_mix) {
+    return MixPair(path_key ^ level_salt, item_mix);
+  }
+  /// The level-\p level pairwise hash function, or null under kMixer.
+  const PairwiseHash* LevelPairwise(int level) const {
+    if (engine_ != HashEngine::kPairwise) return nullptr;
+    return &level_hashes_[LevelIndex(level)];
+  }
+  /// The kMixer draw's random bits; the draw is ToUnitInterval of them.
+  static uint64_t MixerDrawBits(uint64_t child) { return Avalanche64(child); }
+
   /// Number of per-level hash functions owned (== max_level).
   int max_level() const { return max_level_; }
 
  private:
+  size_t LevelIndex(int level) const {
+    return static_cast<size_t>(level - 1) % level_salts_.size();
+  }
+
   uint64_t seed_;
   int max_level_;
   HashEngine engine_;

@@ -41,10 +41,6 @@ void ThreadPool::WorkerLoop() {
       queue_.pop_front();
     }
     task();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      tasks_executed_++;
-    }
   }
 }
 

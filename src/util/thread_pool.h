@@ -49,8 +49,14 @@ class ThreadPool {
   template <typename F>
   auto Submit(F&& fn) -> std::future<std::invoke_result_t<std::decay_t<F>>> {
     using R = std::invoke_result_t<std::decay_t<F>>;
-    auto task =
-        std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
+    // The task is counted as fn returns or throws, before the
+    // packaged_task stores the outcome and readies the future, so a
+    // caller that has waited on a future sees its task counted.
+    auto task = std::make_shared<std::packaged_task<R()>>(
+        [this, fn = std::forward<F>(fn)]() mutable -> R {
+          CountOnExit counted{this};
+          return fn();
+        });
     std::future<R> result = task->get_future();
     Enqueue([task] { (*task)(); });
     return result;
@@ -67,9 +73,18 @@ class ThreadPool {
                    const std::function<void(size_t, size_t, int)>& fn);
 
   /// Total tasks fully executed by the workers (diagnostics/tests).
+  /// Counts every task whose future a caller has seen become ready.
   size_t tasks_executed() const;
 
  private:
+  struct CountOnExit {
+    ThreadPool* pool;
+    ~CountOnExit() {
+      std::lock_guard<std::mutex> lock(pool->mutex_);
+      pool->tasks_executed_++;
+    }
+  };
+
   void Enqueue(std::function<void()> task);
   void WorkerLoop();
 

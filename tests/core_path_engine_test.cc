@@ -273,8 +273,8 @@ TEST(PathEngineTest, SharedItemsYieldSharedFilters) {
 }
 
 TEST(PathEngineTest, FusedAllRepsMatchesPerRepByteForByte) {
-  // The fused level-synchronous pass must reproduce each repetition's
-  // key stream exactly — same keys, same order — and sum the stats.
+  // One Generate over [0, reps) must reproduce each repetition's key
+  // stream exactly — same keys, same order — and sum the stats.
   auto dist = TwoBlockProbabilities(20, 0.3, 300, 0.01).value();
   FixedPolicy policy(0.25);
   PathHasher hasher(11, 32);
@@ -283,6 +283,7 @@ TEST(PathEngineTest, FusedAllRepsMatchesPerRepByteForByte) {
   PathEngine engine(&dist, &policy, &hasher, options);
 
   Rng rng(55);
+  PathScratch scratch;
   for (int trial = 0; trial < 20; ++trial) {
     SparseVector x = dist.Sample(&rng);
     const uint32_t reps = 1 + static_cast<uint32_t>(trial % 7);
@@ -291,8 +292,9 @@ TEST(PathEngineTest, FusedAllRepsMatchesPerRepByteForByte) {
     std::vector<size_t> offsets;
     PathGenStats fused_stats;
     size_t capped = 0;
-    engine.ComputeFiltersAllReps(x.span(), reps, &fused, &offsets,
-                                 &fused_stats, &capped);
+    engine.Prepare(x.span(), &scratch);
+    engine.Generate(&scratch, 0, reps, &fused, &offsets, &fused_stats,
+                    &capped);
     ASSERT_EQ(offsets.size(), reps + 1);
     ASSERT_EQ(offsets.front(), 0u);
     ASSERT_EQ(offsets.back(), fused.size());
@@ -322,16 +324,47 @@ TEST(PathEngineTest, FusedAllRepsHandlesEmptyVectorAndZeroReps) {
   options.log_n = std::log(100.0);
   PathEngine engine(&dist, &policy, &hasher, options);
 
+  PathScratch scratch;
   std::vector<uint64_t> keys;
   std::vector<size_t> offsets;
-  engine.ComputeFiltersAllReps({}, 4, &keys, &offsets, nullptr);
+  engine.Prepare({}, &scratch);
+  engine.Generate(&scratch, 0, 4, &keys, &offsets, nullptr);
   EXPECT_TRUE(keys.empty());
   ASSERT_EQ(offsets.size(), 5u);
 
   SparseVector x = SparseVector::Of({1, 3, 5});
-  engine.ComputeFiltersAllReps(x.span(), 0, &keys, &offsets, nullptr);
+  engine.Prepare(x.span(), &scratch);
+  engine.Generate(&scratch, 0, 0, &keys, &offsets, nullptr);
   EXPECT_TRUE(keys.empty());
   ASSERT_EQ(offsets.size(), 1u);
+}
+
+TEST(PathEngineTest, GenerateAppendsAndOffsetsAreAbsolute) {
+  // Generate appends behind existing keys; offsets index the whole
+  // buffer, so a caller can collect several vectors into one.
+  auto dist = UniformProbabilities(50, 0.2).value();
+  FixedPolicy policy(0.5);
+  PathHasher hasher(3, 16);
+  PathEngineOptions options;
+  options.log_n = std::log(500.0);
+  PathEngine engine(&dist, &policy, &hasher, options);
+  SparseVector x = SparseVector::Of({2, 4, 8, 16, 32, 33, 40});
+
+  PathScratch scratch;
+  engine.Prepare(x.span(), &scratch);
+  std::vector<uint64_t> keys = {7, 7, 7};
+  std::vector<size_t> offsets;
+  engine.Generate(&scratch, 2, 5, &keys, &offsets, nullptr);
+  ASSERT_EQ(offsets.size(), 4u);
+  EXPECT_EQ(offsets.front(), 3u);
+  EXPECT_EQ(offsets.back(), keys.size());
+  for (uint32_t rep = 2; rep < 5; ++rep) {
+    std::vector<uint64_t> single;
+    engine.ComputeFilters(x.span(), rep, &single, nullptr);
+    EXPECT_EQ(std::vector<uint64_t>(keys.begin() + offsets[rep - 2],
+                                    keys.begin() + offsets[rep - 1]),
+              single);
+  }
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 #include <set>
 #include <vector>
 
+#include "hashing/mix.h"
+
 namespace skewsearch {
 namespace {
 
@@ -134,6 +136,60 @@ TEST(PathHasherTest, SharedPrefixConsistency) {
   EXPECT_EQ(path_of_x, path_of_q);
   EXPECT_DOUBLE_EQ(hasher.LevelDraw(2, path_of_x, 99),
                    hasher.LevelDraw(2, path_of_q, 99));
+}
+
+TEST(PathHasherTest, KnownAnswers) {
+  // Frozen outputs at a fixed seed, independent of any index file: the
+  // keys and draws of every saved index depend on them. Level 13 wraps
+  // to the first level function (max_level 12).
+  for (HashEngine engine : {HashEngine::kMixer, HashEngine::kPairwise}) {
+    PathHasher hasher(20260417, 12, engine);
+    const uint64_t root0 = hasher.RootKey(0);
+    const uint64_t root7 = hasher.RootKey(7);
+    const uint64_t ext1 = hasher.ExtendKey(root0, 17);
+    const uint64_t ext2 = hasher.ExtendKey(ext1, 4093);
+    EXPECT_EQ(root0, 0x6574416301a8a85bULL);
+    EXPECT_EQ(root7, 0x57d694df557e4c3aULL);
+    EXPECT_EQ(ext1, 0x3cedda0d7b9f052eULL);
+    EXPECT_EQ(ext2, 0x4b0abad3ab988b09ULL);
+    const double draws[4] = {
+        hasher.LevelDraw(1, root0, 17), hasher.LevelDraw(2, ext1, 4093),
+        hasher.LevelDraw(12, ext2, 5), hasher.LevelDraw(13, root7, 0)};
+    if (engine == HashEngine::kMixer) {
+      EXPECT_EQ(draws[0], 0x1.89a13b1ce00e6p-1);
+      EXPECT_EQ(draws[1], 0x1.12ebd5d7a1b9p-2);
+      EXPECT_EQ(draws[2], 0x1.93c3e0aa0ed1fp-1);
+      EXPECT_EQ(draws[3], 0x1.97c47111308a2p-1);
+    } else {
+      EXPECT_EQ(draws[0], 0x1.5d0c484162a42p-1);
+      EXPECT_EQ(draws[1], 0x1.06f31dd1e782p-1);
+      EXPECT_EQ(draws[2], 0x1.1e3ffd5328ee6p-3);
+      EXPECT_EQ(draws[3], 0x1.b27c750814ccbp-1);
+    }
+  }
+}
+
+TEST(PathHasherTest, PremixedFormsMatch) {
+  // The path engine mixes each item once and combines it per draw; the
+  // composed forms must equal ExtendKey / LevelDraw exactly.
+  for (HashEngine engine : {HashEngine::kMixer, HashEngine::kPairwise}) {
+    PathHasher hasher(99, 7, engine);
+    for (uint32_t i = 0; i < 2000; ++i) {
+      const uint64_t key = Mix64(i) ^ hasher.RootKey(i % 5);
+      const uint32_t item = i * 2654435761u;
+      const int level = 1 + static_cast<int>(i % 9);
+      EXPECT_EQ(hasher.ExtendKey(key, item),
+                PathHasher::ExtendKeyMixed(key,
+                                           PathHasher::ExtendItemMix(item)));
+      const uint64_t child = PathHasher::DrawChild(
+          key, hasher.LevelSalt(level), PathHasher::DrawItemMix(item));
+      const PairwiseHash* pairwise = hasher.LevelPairwise(level);
+      double draw = ToUnitInterval(PathHasher::MixerDrawBits(child));
+      if (pairwise != nullptr) draw = pairwise->HashUnit(child);
+      EXPECT_EQ(hasher.LevelDraw(level, key, item), draw);
+      EXPECT_EQ(pairwise != nullptr, engine == HashEngine::kPairwise);
+    }
+  }
 }
 
 }  // namespace
