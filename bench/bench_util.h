@@ -144,6 +144,30 @@ inline double NsPerOp(F&& fn, int repeats = 5,
   return best * 1e9 / static_cast<double>(iters);
 }
 
+/// Times one pass of \p ref and one of \p fresh in turn, \p rounds
+/// times, and returns the fastest pass of each in ns. Alternating makes a
+/// slow stretch of the host slow both sides instead of skewing their
+/// ratio.
+template <typename Ref, typename New>
+inline std::pair<double, double> FastestAlternating(Ref&& ref,
+                                                    New&& fresh,
+                                                    int rounds = 9) {
+  using Clock = std::chrono::steady_clock;
+  auto pass = [](auto&& fn) {
+    const auto start = Clock::now();
+    fn();
+    return std::chrono::duration<double, std::nano>(Clock::now() - start)
+        .count();
+  };
+  double best_ref = pass(ref);
+  double best_new = pass(fresh);
+  for (int r = 1; r < rounds; ++r) {
+    best_ref = std::min(best_ref, pass(ref));
+    best_new = std::min(best_new, pass(fresh));
+  }
+  return {best_ref, best_new};
+}
+
 /// Returns the value following `--json` in \p argv, or nullptr. Every
 /// bench passes its raw argc/argv here; the flag composes with each
 /// bench's own flag parsing (all of them skip unknown pairs).

@@ -1,16 +1,30 @@
 // Copyright 2026 The skewsearch Authors.
 // Microbenchmarks: end-to-end index operations — filter generation,
 // build throughput, and query latency for the paper's index and the
-// baselines. Standalone timer harness (bench_util.h).
+// baselines — plus the posting-table lookup on a mapped SKF1 table:
+// FilterTable::Lookup through the radix directory against a plain
+// std::lower_bound over the same keys_span(). The two must return the
+// same posting list for every probe key (exit 1 otherwise).
+// Standalone timer harness (bench_util.h).
 //
-// Flags: --json FILE   write metrics JSON (see bench_util.h)
+// Flags: --json FILE            write metrics JSON (see bench_util.h)
+//        --require-speedup X    exit nonzero unless the directory lookup
+//                               is >= X times faster than lower_bound
 
+#include <unistd.h>
+
+#include <algorithm>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "baselines/chosen_path.h"
 #include "baselines/prefix_filter.h"
 #include "bench_util.h"
+#include "core/inverted_index.h"
 #include "core/skewed_index.h"
 #include "data/correlated.h"
 #include "data/generators.h"
@@ -19,7 +33,91 @@
 namespace skewsearch {
 namespace {
 
+// Lookup by binary search over the whole key array: the mapped-table
+// path before the directory, kept here as the cell's reference.
+std::span<const VectorId> LowerBoundLookup(const FilterTable& table,
+                                           uint64_t key) {
+  auto keys = table.keys_span();
+  auto it = std::lower_bound(keys.begin(), keys.end(), key);
+  if (it == keys.end() || *it != key) return {};
+  return table.postings_at(static_cast<size_t>(it - keys.begin()));
+}
+
+struct MappedLookupCell {
+  size_t keys = 0;
+  size_t probes = 0;
+  size_t hits = 0;
+  size_t mismatches = 0;
+  double directory_ns = 0.0;    // per probe key
+  double lower_bound_ns = 0.0;  // per probe key
+  bool ok = false;
+};
+
+// Freezes \p index to an SKF1 file, maps it back and probes the mapped
+// table with every stored key plus the filter keys of \p queries (hits
+// and misses, as in a search), in shuffled order.
+MappedLookupCell RunMappedLookup(const SkewedPathIndex& index,
+                                 const Dataset& data,
+                                 const ProductDistribution& dist,
+                                 const std::vector<SparseVector>& queries) {
+  MappedLookupCell cell;
+  const char* tmpdir = std::getenv("TMPDIR");
+  const std::string path = std::string(tmpdir != nullptr ? tmpdir : "/tmp") +
+                           "/skewsearch_micro_index_" +
+                           std::to_string(::getpid()) + ".skf";
+  SkewedPathIndex mapped;
+  const bool mapped_ok = index.Freeze(path).ok() &&
+                         mapped.MapFrozen(path, &data, &dist).ok();
+  std::remove(path.c_str());  // the mapping outlives the name
+  if (!mapped_ok) return cell;
+  const FilterTable& table = mapped.filter_table();
+
+  std::vector<uint64_t> probes(table.keys_span().begin(),
+                               table.keys_span().end());
+  for (const SparseVector& q : queries) {
+    for (uint64_t key : index.ComputeFilterKeys(q.span())) {
+      probes.push_back(key);
+    }
+  }
+  Rng shuffle_rng(9);
+  shuffle_rng.Shuffle(&probes);
+
+  for (uint64_t key : probes) {
+    auto got = table.Lookup(key);
+    auto expect = LowerBoundLookup(table, key);
+    if (got.data() != expect.data() || got.size() != expect.size()) {
+      ++cell.mismatches;
+    }
+    cell.hits += !got.empty();
+  }
+  const auto [lower_bound_ns, directory_ns] = bench::FastestAlternating(
+      [&] {
+        size_t sum = 0;
+        for (uint64_t key : probes) sum += LowerBoundLookup(table, key).size();
+        bench::DoNotOptimize(sum);
+      },
+      [&] {
+        size_t sum = 0;
+        for (uint64_t key : probes) sum += table.Lookup(key).size();
+        bench::DoNotOptimize(sum);
+      });
+  const double n = static_cast<double>(std::max<size_t>(probes.size(), 1));
+  cell.keys = table.num_keys();
+  cell.probes = probes.size();
+  cell.directory_ns = directory_ns / n;
+  cell.lower_bound_ns = lower_bound_ns / n;
+  cell.ok = true;
+  return cell;
+}
+
 int Run(int argc, char** argv) {
+  double require_speedup = 0.0;
+  for (int i = 1; i + 1 < argc; i += 2) {
+    if (std::strcmp(argv[i], "--require-speedup") == 0) {
+      require_speedup = std::atof(argv[i + 1]);
+    }
+  }
+
   bench::Banner("Index micro-operations");
   bench::JsonReporter reporter("micro_index");
 
@@ -116,7 +214,56 @@ int Run(int argc, char** argv) {
   table.AddRow({"ProductDistribution::Sample", bench::Fmt(sample_ns, 1)});
   table.Print();
 
-  return reporter.WriteIfRequested(argc, argv) ? 0 : 1;
+  std::vector<SparseVector> lookup_queries;
+  Rng lookup_rng(8);
+  for (VectorId id = 0; id < 1000; ++id) {
+    lookup_queries.push_back(sampler.SampleCorrelated(data.Get(id),
+                                                      &lookup_rng));
+  }
+  const MappedLookupCell cell =
+      RunMappedLookup(index, data, dist, lookup_queries);
+  if (!cell.ok) {
+    std::fprintf(stderr, "freeze/map of the lookup cell failed\n");
+    return 1;
+  }
+  const double speedup =
+      cell.directory_ns > 0.0 ? cell.lower_bound_ns / cell.directory_ns : 0.0;
+  bench::Table lookups({"mapped lookup", "keys", "probes", "hits",
+                        "ns/key", "speedup"});
+  lookups.AddRow({"std::lower_bound", bench::Fmt(cell.keys),
+                  bench::Fmt(cell.probes), bench::Fmt(cell.hits),
+                  bench::Fmt(cell.lower_bound_ns, 1), "1.00"});
+  lookups.AddRow({"FilterTable::Lookup", bench::Fmt(cell.keys),
+                  bench::Fmt(cell.probes), bench::Fmt(cell.hits),
+                  bench::Fmt(cell.directory_ns, 1), bench::Fmt(speedup, 2)});
+  lookups.Print();
+  bench::Note("lookup mismatches: " + bench::Fmt(cell.mismatches));
+  reporter.Metric("mapped_lookup_keys", static_cast<double>(cell.keys),
+                  /*stable=*/true, "keys");
+  reporter.Metric("mapped_lookup_probes", static_cast<double>(cell.probes),
+                  /*stable=*/true, "keys");
+  reporter.Metric("mapped_lookup_hits", static_cast<double>(cell.hits),
+                  /*stable=*/true, "keys");
+  reporter.Metric("mapped_lookup_mismatches",
+                  static_cast<double>(cell.mismatches), /*stable=*/true,
+                  "keys");
+  reporter.Metric("mapped_lookup_directory_ns", cell.directory_ns,
+                  /*stable=*/false, "ns");
+  reporter.Metric("mapped_lookup_lower_bound_ns", cell.lower_bound_ns,
+                  /*stable=*/false, "ns");
+  reporter.Metric("mapped_lookup_speedup", speedup, /*stable=*/false, "x");
+
+  if (!reporter.WriteIfRequested(argc, argv)) return 1;
+  if (cell.mismatches != 0) {
+    std::fprintf(stderr, "directory/lower_bound lookup mismatch\n");
+    return 1;
+  }
+  if (require_speedup > 0.0 && speedup < require_speedup) {
+    std::fprintf(stderr, "lookup speedup %.2f below required %.2f\n",
+                 speedup, require_speedup);
+    return 1;
+  }
+  return 0;
 }
 
 }  // namespace

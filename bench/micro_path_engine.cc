@@ -28,7 +28,6 @@
 //        --require-speedup X    exit nonzero unless min speedup >= X
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -52,28 +51,6 @@ bool SameStats(const PathGenStats& a, const PathGenStats& b) {
   return a.filters_emitted == b.filters_emitted &&
          a.nodes_expanded == b.nodes_expanded && a.draws == b.draws &&
          a.cap_hit == b.cap_hit;
-}
-
-// Times one pass of \p ref and one of \p fresh in turn, \p rounds times,
-// and returns the fastest pass of each in ns. Alternating makes a slow
-// stretch of the host slow both engines instead of skewing their ratio.
-template <typename Ref, typename New>
-std::pair<double, double> FastestAlternating(Ref&& ref, New&& fresh,
-                                             int rounds = 9) {
-  using Clock = std::chrono::steady_clock;
-  auto pass = [](auto&& fn) {
-    const auto start = Clock::now();
-    fn();
-    return std::chrono::duration<double, std::nano>(Clock::now() - start)
-        .count();
-  };
-  double best_ref = pass(ref);
-  double best_new = pass(fresh);
-  for (int r = 1; r < rounds; ++r) {
-    best_ref = std::min(best_ref, pass(ref));
-    best_new = std::min(best_new, pass(fresh));
-  }
-  return {best_ref, best_new};
 }
 
 // Vectors per set: enough for stable per-vector means, few enough that
@@ -169,7 +146,7 @@ int Run(int argc, char** argv) {
       const double nodes = static_cast<double>(work.nodes_expanded) / count;
 
       // Timed: one pass covers every vector, so ns/vector = ns / count.
-      const auto [ref_per_rep, new_per_rep] = FastestAlternating(
+      const auto [ref_per_rep, new_per_rep] = bench::FastestAlternating(
           [&] {
             for (const SparseVector& x : vectors) {
               for (uint32_t r = 0; r < reps; ++r) {
@@ -189,7 +166,7 @@ int Run(int argc, char** argv) {
               }
             }
           });
-      const auto [ref_all, new_all] = FastestAlternating(
+      const auto [ref_all, new_all] = bench::FastestAlternating(
           [&] {
             for (const SparseVector& x : vectors) {
               want.ComputeFiltersAllReps(x.span(), reps, &want_keys,

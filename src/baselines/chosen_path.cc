@@ -73,7 +73,7 @@ Status ChosenPathIndex::Build(const Dataset* data,
     for (uint64_t key : keys) table_.Add(key, id);
     build_stats_.total_filters += keys.size();
   }
-  table_.Freeze();
+  SKEWSEARCH_RETURN_NOT_OK(table_.Freeze());
   build_stats_.distinct_keys = table_.num_keys();
   build_stats_.avg_filters_per_element =
       static_cast<double>(build_stats_.total_filters) /

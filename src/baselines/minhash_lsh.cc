@@ -65,7 +65,7 @@ Status MinHashLsh::Build(const Dataset* data, const MinHashOptions& options) {
       table_.Add(BandKey(band, ids), id);
     }
   }
-  table_.Freeze();
+  SKEWSEARCH_RETURN_NOT_OK(table_.Freeze());
   return Status::OK();
 }
 

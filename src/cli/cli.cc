@@ -151,7 +151,8 @@ sessions still work on the same worker.
 query-bench --mmap freezes the built index to --freeze FILE (default:
 the input path + ".skf"), re-opens it zero-copy through mmap, and
 serves the bench from the mapped index — same recall and candidate
-counts, O(1) start time. bench_mmap_load measures the gap.
+counts; start-up reads only the key arrays (to build the lookup
+directory). bench_mmap_load measures the gap.
 
 query-bench --trace runs one extra query after the bench inside a
 trace and prints the per-phase span timings (filters, verify, total)

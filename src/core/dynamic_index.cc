@@ -682,7 +682,7 @@ Status DynamicIndex::CompactShard(int s) {
       if (!s0->IsTombstoned(id)) fresh.Add(key, id);
     }
   });
-  fresh.Freeze();
+  SKEWSEARCH_RETURN_NOT_OK(fresh.Freeze());
 
   // Phase 2: merge the mutations that raced phase 1 and publish. The
   // lock section is bounded by that churn, not by the shard size.
@@ -785,7 +785,7 @@ Status DynamicIndex::RebuildShardLocked(
     fresh_record->entries = count;
     prebuilt.emplace(id, std::move(fresh_record));
   }
-  fresh.Freeze();
+  SKEWSEARCH_RETURN_NOT_OK(fresh.Freeze());
 
   // Phase 2: short merge of the churn that raced the replay, publish.
   Shard& shard = *shards_[static_cast<size_t>(s)];

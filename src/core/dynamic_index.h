@@ -61,6 +61,7 @@
 #include "data/distribution.h"
 #include "maintenance/epoch.h"
 #include "sim/brute_force.h"
+#include "util/containers.h"
 #include "util/result.h"
 #include "util/status.h"
 #include "util/sync.h"

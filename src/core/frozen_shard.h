@@ -7,12 +7,16 @@
 // SKF1 instead lays each shard's frozen CSR arrays (keys, offsets, ids)
 // out offset-based, 64-byte aligned, behind a fixed-size header and a
 // shard section table, so Map() only validates O(num_shards) metadata
-// and then adopts spans straight into the mapped bytes: warm start is
-// O(1) in the index size, residency is the OS page cache's problem, and
-// query results are byte-identical to a heap Load by construction (both
-// back the same offset-based lookup). docs/FILE_FORMATS.md specifies
-// the layout normatively; tests/core_frozen_shard_fuzz_test.cc holds
-// Map() to clean rejection of every corrupted byte it can reach.
+// and MakeShardView() adopts spans straight into the mapped bytes. The
+// one O(index) step of a warm start is each view's lookup directory
+// (core/inverted_index.h), built on the heap in one sequential pass over
+// the shard's key section; the file bytes are the same CSR arrays a heap
+// table holds, so query results are byte-identical to a heap Load by
+// construction (both run the same Lookup). Residency is the OS page
+// cache's problem. docs/FILE_FORMATS.md specifies the layout
+// normatively; tests/core_frozen_shard_fuzz_test.cc holds Map() to clean
+// rejection of every corrupted byte it can reach, and view lookups to
+// stay in bounds on corrupted keys the default Map cannot see.
 //
 // Integrity model: the header, parameter block and shard section table
 // are covered by an always-verified metadata checksum, so Map() never
@@ -102,7 +106,8 @@ class FrozenShardFile {
   size_t file_bytes() const { return file_.size(); }
 
   /// A zero-copy FilterTable view over shard \p s. The view (and any
-  /// copy of it) aliases this file's bytes.
+  /// copy of it) aliases this file's bytes; only its lookup directory,
+  /// built here from the key section, lives on the heap.
   Result<FilterTable> MakeShardView(int s) const;
 
   /// Applies an access-pattern hint to the whole mapping (advisory).

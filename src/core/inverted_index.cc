@@ -1,8 +1,11 @@
 #include "core/inverted_index.h"
 
 #include <algorithm>
+#include <bit>
 #include <istream>
+#include <limits>
 #include <ostream>
+#include <string>
 
 #include "core/index_io.h"
 
@@ -32,25 +35,76 @@ bool WriteSpan(std::ostream* out, std::span<const T> values) {
   return out->good();
 }
 
-}  // namespace
-
-void FilterTable::Reserve(size_t expected_pairs) {
-  arena_.Reserve(expected_pairs);
+// About 4 keys per bucket: the largest power of two <= num_keys / 4, and
+// at least 2 buckets so the shift stays below 64.
+int DirectoryBits(size_t num_keys) {
+  return std::countr_zero(
+      std::bit_floor(std::max<uint64_t>(num_keys / 4, 2)));
 }
 
-void FilterTable::Add(uint64_t key, VectorId id) { arena_.Add(key, id); }
+}  // namespace
 
-void FilterTable::Freeze() {
-  arena_.Freeze(&keys_, &offsets_, &ids_);
-  // Drop growth slack so MemoryBytes() reports the same frozen footprint
-  // as a ReadFrom() of this table (which allocates exactly).
-  keys_.shrink_to_fit();
-  offsets_.shrink_to_fit();
-  ids_.shrink_to_fit();
-  key_index_ = BuildPostingKeyIndex(keys_);
+Status CheckPostingCapacity(uint64_t num_pairs) {
+  if (num_pairs > std::numeric_limits<uint32_t>::max()) {
+    return Status::InvalidArgument(
+        "filter table holds at most 2^32 - 1 pairs, got " +
+        std::to_string(num_pairs));
+  }
+  return Status::OK();
+}
+
+void FilterTable::Reserve(size_t expected_pairs) {
+  pairs_.reserve(expected_pairs);
+}
+
+Status FilterTable::Freeze() {
+  SKEWSEARCH_RETURN_NOT_OK(CheckPostingCapacity(pairs_.size()));
+  std::sort(pairs_.begin(), pairs_.end());
+  size_t num_keys = 0;
+  for (size_t i = 0; i < pairs_.size(); ++i) {
+    num_keys += i == 0 || pairs_[i].first != pairs_[i - 1].first;
+  }
+  // Exact reservations, so MemoryBytes() reports the same frozen
+  // footprint as a ReadFrom() of this table.
+  keys_.clear();
+  offsets_.clear();
+  ids_.clear();
+  keys_.reserve(num_keys);
+  offsets_.reserve(num_keys + 1);
+  ids_.reserve(pairs_.size());
+  for (size_t i = 0; i < pairs_.size(); ++i) {
+    if (i == 0 || pairs_[i].first != pairs_[i - 1].first) {
+      keys_.push_back(pairs_[i].first);
+      offsets_.push_back(static_cast<uint32_t>(i));
+    }
+    ids_.push_back(pairs_[i].second);
+  }
+  offsets_.push_back(static_cast<uint32_t>(pairs_.size()));
+  pairs_ = decltype(pairs_)();  // releases the staging buffer
   frozen_ = true;
   view_ = false;
   RepointViewsAtOwned();
+  BuildDirectory();
+  return Status::OK();
+}
+
+void FilterTable::BuildDirectory() {
+  const int bits = DirectoryBits(keys_view_.size());
+  const size_t buckets = size_t{1} << bits;
+  dir_shift_ = 64 - bits;
+  dir_.assign(buckets + 1, 0);
+  // One sequential pass: every bucket up to a key's own gets the key's
+  // position. A key whose bucket is below one already filled (possible
+  // only on unsorted, i.e. corrupt, keys) fills nothing, so the entries
+  // stay monotone and <= num_keys() for any input.
+  size_t next = 0;
+  for (size_t i = 0; i < keys_view_.size(); ++i) {
+    const size_t b = static_cast<size_t>(keys_view_[i] >> dir_shift_);
+    while (next <= b) dir_[next++] = static_cast<uint32_t>(i);
+  }
+  while (next <= buckets) {
+    dir_[next++] = static_cast<uint32_t>(keys_view_.size());
+  }
 }
 
 void FilterTable::RepointViewsAtOwned() {
@@ -60,11 +114,12 @@ void FilterTable::RepointViewsAtOwned() {
 }
 
 void FilterTable::CopyFrom(const FilterTable& other) {
-  arena_ = other.arena_;
+  pairs_ = other.pairs_;
   keys_ = other.keys_;
   offsets_ = other.offsets_;
   ids_ = other.ids_;
-  key_index_ = other.key_index_;
+  dir_ = other.dir_;
+  dir_shift_ = other.dir_shift_;
   frozen_ = other.frozen_;
   view_ = other.view_;
   if (view_) {
@@ -92,25 +147,9 @@ Status FilterTable::AdoptFrozenView(std::span<const uint64_t> keys,
   fresh.ids_view_ = ids;
   fresh.frozen_ = true;
   fresh.view_ = true;
+  fresh.BuildDirectory();
   *this = std::move(fresh);
   return Status::OK();
-}
-
-std::span<const VectorId> FilterTable::Lookup(uint64_t key) const {
-  size_t idx;
-  if (view_) {
-    // Views have no probe index; the keys are sorted and distinct, so a
-    // binary search finds the position in O(log K) with zero heap.
-    auto it = std::lower_bound(keys_view_.begin(), keys_view_.end(), key);
-    if (it == keys_view_.end() || *it != key) return {};
-    idx = static_cast<size_t>(it - keys_view_.begin());
-  } else {
-    auto it = key_index_.find(key);
-    if (it == key_index_.end()) return {};
-    idx = it->second;
-  }
-  return {ids_view_.data() + offsets_view_[idx],
-          static_cast<size_t>(offsets_view_[idx + 1] - offsets_view_[idx])};
 }
 
 Status FilterTable::WriteTo(std::ostream* out) const {
@@ -147,17 +186,19 @@ Status FilterTable::ReadFrom(std::istream* in) {
       return Status::InvalidArgument("filter table offsets not monotone");
     }
   }
-  fresh.key_index_ = BuildPostingKeyIndex(fresh.keys_);
   fresh.frozen_ = true;
   fresh.RepointViewsAtOwned();
+  fresh.BuildDirectory();
   *this = std::move(fresh);
   return Status::OK();
 }
 
 size_t FilterTable::MemoryBytes() const {
-  return arena_.MemoryBytes() + keys_.capacity() * sizeof(uint64_t) +
+  return pairs_.capacity() * sizeof(pairs_[0]) +
+         keys_.capacity() * sizeof(uint64_t) +
          offsets_.capacity() * sizeof(uint32_t) +
-         ids_.capacity() * sizeof(VectorId) + key_index_.MemoryBytes();
+         ids_.capacity() * sizeof(VectorId) +
+         dir_.capacity() * sizeof(uint32_t);
 }
 
 }  // namespace skewsearch

@@ -3,29 +3,32 @@
 // vector ids ("for each filter f we can look up {x in S : f in F(x)}",
 // Section 3). Shared by the paper's index and the Chosen Path baseline.
 //
-// Built by staging (key, id) pairs into a PostingArena (grouped by key as
-// they arrive) and freezing into unique keys + offsets + ids. Compared to
-// a per-key hash map of vectors this halves memory and is cache-friendly
-// to build; lookups are one O(1) probe of a flat key -> position index
-// (core/posting_table.h) over the (typically few million) distinct keys.
+// One layout serves every table, heap or mapped: the sorted CSR arrays
+// keys / offsets / ids (distinct ascending keys, ids ascending per key,
+// duplicate pairs kept) plus a radix directory over the top key bits.
+// Filter keys are uniform 64-bit hashes, so the directory's 2^k buckets
+// (about 4 keys each) narrow a Lookup to a handful of keys before a
+// lower_bound; skewed key sets (MinHash bands, small test keys) stay
+// correct at O(log n). Add() stages (key, id) pairs and Freeze() sorts
+// them once into the CSR arrays.
 //
 // A table can alternatively be a zero-copy *view* over externally owned
 // frozen CSR arrays (AdoptFrozenView) — the accessor seam the mmap'd
-// SKF1 shard files (core/frozen_shard.h) serve queries through. Views
-// skip the O(num_keys) probe-index build so mapping stays O(1) in the
-// index size; Lookup binary-searches the sorted key array instead.
+// SKF1 shard files (core/frozen_shard.h) serve queries through. A view
+// builds only its directory on the heap, in one sequential pass over
+// the key array, and then looks up exactly like an owning table.
 
 #ifndef SKEWSEARCH_CORE_INVERTED_INDEX_H_
 #define SKEWSEARCH_CORE_INVERTED_INDEX_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <iosfwd>
 #include <span>
+#include <utility>
 #include <vector>
 
-#include "core/posting_table.h"
 #include "data/dataset.h"
-#include "util/containers.h"
 #include "util/status.h"
 
 namespace skewsearch {
@@ -51,11 +54,13 @@ class FilterTable {
   void Reserve(size_t expected_pairs);
 
   /// Adds one (filter key, vector id) pair. Only valid before Freeze().
-  void Add(uint64_t key, VectorId id);
+  void Add(uint64_t key, VectorId id) { pairs_.emplace_back(key, id); }
 
-  /// Sorts and deduplicates keys, building the posting lists. Must be
-  /// called exactly once, after which Add is illegal.
-  void Freeze();
+  /// Sorts the staged pairs by (key, id) into the posting lists and
+  /// builds the directory. Must be called exactly once, after which Add
+  /// is illegal. Fails, leaving the pairs staged, when they exceed
+  /// CheckPostingCapacity.
+  Status Freeze();
 
   /// Replaces this table with a zero-copy view over externally owned
   /// frozen CSR arrays — typically sections of an mmap'd SKF1 file. The
@@ -65,14 +70,25 @@ class FilterTable {
   /// offsets.back() == ids.size()); key sortedness and id ranges are the
   /// caller's contract (the frozen-shard mapper checks them via its
   /// metadata checksum and, on request, a full payload verification).
-  /// No probe index is built: Lookup binary-searches the keys.
+  /// The directory is built from \p keys in one pass whose entries stay
+  /// monotone and <= keys.size() for any bytes, so Lookup stays in
+  /// bounds even on unsorted keys.
   Status AdoptFrozenView(std::span<const uint64_t> keys,
                          std::span<const uint32_t> offsets,
                          std::span<const VectorId> ids);
 
-  /// Posting list for \p key (empty when absent). Only valid after
-  /// Freeze().
-  std::span<const VectorId> Lookup(uint64_t key) const;
+  /// Posting list for \p key (empty when absent, and on a table that
+  /// was never frozen). One directory read, then a lower_bound inside
+  /// the key's bucket.
+  std::span<const VectorId> Lookup(uint64_t key) const {
+    if (dir_.empty()) return {};
+    const uint32_t* bucket = dir_.data() + (key >> dir_shift_);
+    const uint64_t* end = keys_view_.data() + bucket[1];
+    const uint64_t* it =
+        std::lower_bound(keys_view_.data() + bucket[0], end, key);
+    if (it == end || *it != key) return {};
+    return postings_at(static_cast<size_t>(it - keys_view_.data()));
+  }
 
   /// \name Positional access to the frozen table (iteration order is by
   /// ascending key). Used by compaction, serialization and validation.
@@ -87,10 +103,10 @@ class FilterTable {
   /// @}
 
   /// Number of stored (key, id) pairs. Counts the same pairs before and
-  /// after Freeze(): the staging arena while building, the frozen posting
+  /// after Freeze(): the staged pairs while building, the frozen posting
   /// lists afterwards (Freeze neither adds nor drops pairs).
   size_t num_pairs() const {
-    return frozen_ ? ids_view_.size() : arena_.num_pairs();
+    return frozen_ ? ids_view_.size() : pairs_.size();
   }
 
   /// Number of distinct keys (0 before Freeze()).
@@ -111,6 +127,11 @@ class FilterTable {
   std::span<const VectorId> ids_span() const { return ids_view_; }
   /// @}
 
+  /// The radix directory (empty before Freeze()): 2^k + 1 entries, where
+  /// entry b is the first key position whose top k bits are >= b and the
+  /// last entry is num_keys(). k is derived from num_keys().
+  std::span<const uint32_t> directory_span() const { return dir_; }
+
   /// Approximate heap usage in bytes.
   size_t MemoryBytes() const;
 
@@ -130,7 +151,10 @@ class FilterTable {
   /// or a deep copy mutated them).
   void RepointViewsAtOwned();
 
-  PostingArena arena_;            // staging; drained by Freeze()
+  /// Builds dir_ / dir_shift_ over keys_view_.
+  void BuildDirectory();
+
+  std::vector<std::pair<uint64_t, VectorId>> pairs_;  // drained by Freeze()
   std::vector<uint64_t> keys_;    // sorted distinct keys (empty in views)
   std::vector<uint32_t> offsets_; // keys_.size() + 1 offsets into ids_
   std::vector<VectorId> ids_;
@@ -139,12 +163,16 @@ class FilterTable {
   std::span<const uint64_t> keys_view_;
   std::span<const uint32_t> offsets_view_;
   std::span<const VectorId> ids_view_;
-  // O(1) key -> position probe index; rebuilt by Freeze()/ReadFrom().
-  // Left empty by AdoptFrozenView: views Lookup by binary search.
-  PostingMap<uint64_t, uint32_t> key_index_;
+  std::vector<uint32_t> dir_;  // on the heap for views too
+  int dir_shift_ = 63;         // 64 - k: key >> dir_shift_ is the bucket
   bool frozen_ = false;
   bool view_ = false;
 };
+
+/// The capacity limit of a FilterTable: u32 offsets and directory
+/// entries hold at most 2^32 - 1 pairs. OK when \p num_pairs fits,
+/// InvalidArgument otherwise, in every build type.
+Status CheckPostingCapacity(uint64_t num_pairs);
 
 }  // namespace skewsearch
 

@@ -130,7 +130,7 @@ Status BuildShardTables(const Dataset& data, const FilterFamily& family,
         }
       }
     });
-    // Size each shard's posting arena before the serial emit loop, so
+    // Size each shard's staged pairs before the serial emit loop, so
     // it does not grow by doubling.
     std::vector<size_t> shard_pairs(static_cast<size_t>(num_shards), 0);
     for (const Slot& slot : slots) {
@@ -150,7 +150,7 @@ Status BuildShardTables(const Dataset& data, const FilterFamily& family,
     }
   }
   for (FilterTable& shard : *shards) {
-    shard.Freeze();
+    SKEWSEARCH_RETURN_NOT_OK(shard.Freeze());
     stats->distinct_keys += shard.num_keys();
   }
   stats->avg_filters_per_element =

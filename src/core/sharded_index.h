@@ -34,6 +34,7 @@
 #include "data/dataset.h"
 #include "data/distribution.h"
 #include "sim/brute_force.h"
+#include "util/containers.h"
 #include "util/status.h"
 
 namespace skewsearch {
@@ -111,8 +112,10 @@ class ShardedIndex : public IndexView {
   Status Freeze(const std::string& path) const;
 
   /// Restores an index from a file written by Freeze(), serving every
-  /// shard table zero-copy out of the mapped bytes: start time is O(1)
-  /// in the index size and queries are byte-identical to a heap Load().
+  /// shard table zero-copy out of the mapped bytes: start time is
+  /// metadata validation plus one sequential pass over each shard's key
+  /// array (the lookup directory), and queries are byte-identical to a
+  /// heap Load().
   /// The shard count comes from the file. When the map options request
   /// payload verification, shard placement is re-validated like Load
   /// does (O(index)); the default trusts the checksummed metadata.

@@ -304,8 +304,9 @@ class SkewedPathIndex : public IndexView {
 
   /// Restores an index from a file written by Freeze(), serving the
   /// posting table zero-copy out of the mapped bytes: start time is
-  /// O(1) in the index size (metadata validation only) and queries are
-  /// byte-identical to a heap Load() of the same index. The caller
+  /// metadata validation plus one sequential pass over the key array
+  /// (the lookup directory) and queries are byte-identical to a heap
+  /// Load() of the same index. The caller
   /// re-supplies the same dataset and distribution (fingerprint-checked,
   /// as in Load).
   Status MapFrozen(const std::string& path, const Dataset* data,

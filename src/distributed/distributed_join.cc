@@ -241,7 +241,7 @@ Status DistributedJoin::Build(const Dataset* data,
   workers.reserve(static_cast<size_t>(options.workers));
   for (int w = 0; w < options.workers; ++w) {
     FilterTable& slice = tables[static_cast<size_t>(w)];
-    slice.Freeze();
+    SKEWSEARCH_RETURN_NOT_OK(slice.Freeze());
     workers.emplace_back(w, std::move(slice), data, threshold,
                          options.index.verify_measure);
   }

@@ -45,6 +45,7 @@
 #include "core/skewed_index.h"
 #include "data/dataset.h"
 #include "data/estimate.h"
+#include "util/containers.h"
 #include "util/result.h"
 
 namespace skewsearch {

@@ -115,7 +115,7 @@ struct WorkerState {
     for (const auto& [key, ids] : assignment.postings) {
       for (VectorId id : ids) table.Add(key, id);
     }
-    table.Freeze();
+    SKEWSEARCH_RETURN_NOT_OK(table.Freeze());
     worker.emplace(worker_id, std::move(table), &data,
                    assignment.threshold, assignment.measure, &positions);
     return Status::OK();

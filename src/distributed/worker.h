@@ -21,6 +21,7 @@
 #include "data/dataset.h"
 #include "distributed/messages.h"
 #include "sim/measures.h"
+#include "util/containers.h"
 
 namespace skewsearch {
 

@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -337,6 +338,67 @@ TEST_F(FrozenShardFuzzTest, FieldCorruptionsWithRecomputedChecksum) {
     if (mutant == pristine_) continue;
     ExpectCleanOutcome(mutant, m.label);
   }
+}
+
+TEST_F(FrozenShardFuzzTest, KeySectionFlipsKeepLookupsInBounds) {
+  // Key bytes are covered only by the opt-in payload checksum, so the
+  // default Map adopts flipped (possibly unsorted) keys and builds each
+  // view's directory from them. Map must succeed or fail cleanly, the
+  // directory must stay monotone and <= num_keys(), and every Lookup
+  // must return a slice of the shard's own ids.
+  uint64_t table_offset = 0;
+  uint32_t num_shards = 0;
+  std::memcpy(&table_offset, pristine_.data() + 48, 8);
+  std::memcpy(&num_shards, pristine_.data() + 24, 4);
+  Rng rng(0x5eed);
+  int mapped_mutants = 0;
+  for (uint32_t s = 0; s < num_shards; ++s) {
+    uint64_t keys_offset = 0, keys_count = 0;
+    std::memcpy(&keys_offset, pristine_.data() + table_offset + s * 64, 8);
+    std::memcpy(&keys_count, pristine_.data() + table_offset + s * 64 + 8,
+                8);
+    ASSERT_GT(keys_count, 0u);
+    for (int trial = 0; trial < 40; ++trial) {
+      SCOPED_TRACE("shard " + std::to_string(s) + " trial " +
+                   std::to_string(trial));
+      std::string mutant = pristine_;
+      // A few flips per trial, in the top bytes too (they pick buckets).
+      const int flips = 1 + static_cast<int>(rng.NextBounded(8));
+      for (int f = 0; f < flips; ++f) {
+        const size_t pos = static_cast<size_t>(
+            keys_offset + rng.NextBounded(keys_count * 8));
+        mutant[pos] = static_cast<char>(static_cast<uint8_t>(mutant[pos]) ^
+                                        (1 + rng.NextBounded(255)));
+      }
+      WriteMutant(mutant);
+      ShardedIndex mapped;
+      if (!mapped.MapFrozen(mutant_path_, &data_, &dist_).ok()) continue;
+      ++mapped_mutants;
+      for (int k = 0; k < mapped.num_shards(); ++k) {
+        const FilterTable& table = mapped.shard_table(k);
+        auto dir = table.directory_span();
+        ASSERT_TRUE(std::is_sorted(dir.begin(), dir.end()));
+        ASSERT_EQ(dir.back(), table.num_keys());
+        auto ids = table.ids_span();
+        auto keys = table.keys_span();
+        std::vector<uint64_t> probes;
+        for (int i = 0; i < 200; ++i) probes.push_back(rng.NextUint64());
+        for (size_t i = 0; i < keys.size(); i += 7) probes.push_back(keys[i]);
+        for (uint64_t probe : probes) {
+          auto got = table.Lookup(probe);
+          if (got.empty()) continue;
+          ASSERT_GE(got.data(), ids.data());
+          ASSERT_LE(got.data() + got.size(), ids.data() + ids.size());
+        }
+      }
+      // Whole queries over the corrupt views must not crash either.
+      for (VectorId id = 0; id < data_.size(); id += 5) {
+        (void)mapped.Query(data_.Get(id));
+      }
+    }
+  }
+  // The metadata-only Map cannot see key bytes: the views were served.
+  EXPECT_EQ(mapped_mutants, static_cast<int>(num_shards) * 40);
 }
 
 TEST_F(FrozenShardFuzzTest, EmptyAndTinyFiles) {
