@@ -82,7 +82,7 @@ Status ChosenPathIndex::Build(const Dataset* data,
   return Status::OK();
 }
 
-// Reusable per-thread query workspace; see SkewedPathIndex::QueryScratch.
+// Reusable per-thread query workspace; see probe::ProbeScratch.
 struct ChosenPathIndex::QueryScratch {
   PathScratch path;
   std::vector<uint64_t> keys;

@@ -10,7 +10,7 @@
 
 #include "core/batch.h"
 #include "core/index_io.h"
-#include "sim/measures.h"
+#include "core/probe.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
@@ -887,221 +887,51 @@ Status DynamicIndex::RebuildForSize(size_t target_n) {
   return Status::OK();
 }
 
-std::span<const ItemId> DynamicIndex::ItemsOf(const ShardState& state,
-                                              VectorId id) const {
-  if (id < base_n_) return data_->Get(id);
-  const ShardState::InsertedVector* record = state.FindInserted(id);
-  if (record == nullptr) return {};
-  return {record->items.data(), record->items.size()};
-}
+/// A pinned view's shards as the probe kernel's posting sources: each
+/// shard's base table, then the same key's delta postings as phase 1;
+/// tombstoned ids and ids without items are not admitted.
+struct DynamicIndex::ShardSources {
+  static constexpr bool kHasDelta = true;
 
-// Per-query workspace reused across a batch. Editions are keyed by
-// pointer; almost every query sees exactly one. Entries past `live` are
-// kept only for their buffers.
-struct DynamicIndex::QueryScratch {
-  struct EditionKeys {
-    const Edition* edition = nullptr;
-    PathScratch path;  // the query, prepared under this edition's family
-    std::vector<uint64_t> keys;
-  };
-  std::vector<EditionKeys> editions;
-  size_t live = 0;
-  std::vector<PostingSet<VectorId>> seen;
-  PathGenStats path_gen;
+  const DynamicIndex* index;
+  const std::vector<const void*>* states;
 
-  std::span<EditionKeys> Live() { return {editions.data(), live}; }
-
-  EditionKeys& KeysFor(const Edition* edition) {
-    for (EditionKeys& entry : Live()) {
-      if (entry.edition == edition) return entry;
+  const ShardState& state(size_t s) const {
+    return *static_cast<const ShardState*>((*states)[s]);
+  }
+  size_t size() const { return states->size(); }
+  const FilterFamily& family(size_t s) const {
+    return state(s).edition->family;
+  }
+  const FilterTable& table(size_t s) const { return *state(s).base; }
+  std::span<const VectorId> Delta(size_t s, uint64_t key) const {
+    const std::vector<VectorId>* ids = state(s).FindDelta(key);
+    if (ids == nullptr) return {};
+    return *ids;
+  }
+  bool Admit(size_t s, VectorId id, std::span<const ItemId>* items) const {
+    const ShardState& shard = state(s);
+    if (shard.IsTombstoned(id)) return false;
+    if (id < index->base_n_) {
+      *items = index->data_->Get(id);
+    } else {
+      const ShardState::InsertedVector* record = shard.FindInserted(id);
+      if (record == nullptr) return false;
+      *items = record->items;
     }
-    if (live == editions.size()) editions.emplace_back();
-    EditionKeys& entry = editions[live++];
-    entry.edition = edition;
-    return entry;
+    return !items->empty();
   }
 };
 
-DynamicIndex::RepHit DynamicIndex::ScanShardRep(
-    const ShardState& state, std::span<const ItemId> query,
-    const std::vector<uint64_t>& keys, PostingSet<VectorId>* seen,
-    QueryStats* stats) const {
-  RepHit hit;
-  const double threshold = state.edition->family.verify_threshold();
-  auto consider = [&](size_t key_idx, uint8_t phase, VectorId id) {
-    if (!seen->insert(id).second) return false;
-    if (state.IsTombstoned(id)) return false;
-    auto items = ItemsOf(state, id);
-    if (items.empty()) return false;
-    stats->verifications++;
-    double sim = Similarity(options_.index.verify_measure, query, items);
-    if (sim >= threshold) {
-      hit.found = true;
-      hit.key_idx = key_idx;
-      hit.phase = phase;
-      hit.id = id;
-      hit.similarity = sim;
-      return true;
-    }
-    return false;
-  };
-  for (size_t ki = 0; ki < keys.size(); ++ki) {
-    auto postings = state.base->Lookup(keys[ki]);
-    stats->candidates += postings.size();
-    for (VectorId id : postings) {
-      if (consider(ki, 0, id)) return hit;
-    }
-    const std::vector<VectorId>* extra = state.FindDelta(keys[ki]);
-    if (extra != nullptr) {
-      stats->candidates += extra->size();
-      for (VectorId id : *extra) {
-        if (consider(ki, 1, id)) return hit;
-      }
-    }
-  }
-  return hit;
-}
-
-std::optional<Match> DynamicIndex::QueryImpl(
-    const std::vector<const void*>& states, std::span<const ItemId> query,
-    QueryStats* stats, QueryScratch* scratch) const {
-  Timer timer;
-  QueryStats local;
-  std::optional<Match> found;
-  if (!states.empty() && !query.empty()) {
-    const size_t num = states.size();
-    scratch->seen.resize(num);
-    for (auto& seen : scratch->seen) seen.clear();
-    // Editions referenced by this view (usually one; two mid-rebuild).
-    scratch->live = 0;
-    int max_reps = 0;
-    for (const void* raw : states) {
-      const auto* state = static_cast<const ShardState*>(raw);
-      scratch->KeysFor(state->edition.get());
-      max_reps = std::max(max_reps, state->edition->family.repetitions());
-    }
-    for (auto& entry : scratch->Live()) {
-      entry.edition->family.engine().Prepare(query, &entry.path);
-    }
-    std::vector<RepHit> hits(num);
-    for (int rep = 0; rep < max_reps && !found; ++rep) {
-      for (auto& entry : scratch->Live()) {
-        if (rep >= entry.edition->family.repetitions()) continue;
-        entry.keys.clear();
-        PathGenStats gen;
-        const uint32_t r = static_cast<uint32_t>(rep);
-        entry.edition->family.engine().Generate(&entry.path, r, r + 1,
-                                                &entry.keys, nullptr, &gen);
-        AddPathGenStats(&scratch->path_gen, gen);
-        local.filters += entry.keys.size();
-      }
-      const RepHit* best = nullptr;
-      for (size_t s = 0; s < num; ++s) {
-        const auto* state = static_cast<const ShardState*>(states[s]);
-        if (rep >= state->edition->family.repetitions()) continue;
-        QueryStats shard_stats;
-        hits[s] = ScanShardRep(*state, query,
-                               scratch->KeysFor(state->edition.get()).keys,
-                               &scratch->seen[s], &shard_stats);
-        local.candidates += shard_stats.candidates;
-        local.verifications += shard_stats.verifications;
-        const RepHit& hit = hits[s];
-        if (!hit.found) continue;
-        if (best == nullptr || hit.key_idx < best->key_idx ||
-            (hit.key_idx == best->key_idx &&
-             (hit.phase < best->phase ||
-              (hit.phase == best->phase && hit.id < best->id)))) {
-          best = &hits[s];
-        }
-      }
-      if (best != nullptr) found = Match{best->id, best->similarity};
-    }
-    size_t distinct = 0;
-    for (const auto& seen : scratch->seen) distinct += seen.size();
-    local.distinct_candidates = distinct;
-  }
-  local.seconds = timer.ElapsedSeconds();
-  if (stats != nullptr) *stats = local;
-  return found;
-}
-
-std::vector<Match> DynamicIndex::QueryAllImpl(
-    const std::vector<const void*>& states, std::span<const ItemId> query,
-    double threshold, QueryStats* stats) const {
-  Timer timer;
-  QueryStats local;
-  std::vector<Match> out;
-  if (!states.empty() && !query.empty()) {
-    // Full key lists (all repetitions) per referenced edition.
-    std::vector<std::pair<const Edition*, std::vector<uint64_t>>> keys;
-    auto keys_for = [&](const Edition* edition)
-        -> const std::vector<uint64_t>& {
-      for (auto& entry : keys) {
-        if (entry.first == edition) return entry.second;
-      }
-      keys.emplace_back(edition, std::vector<uint64_t>());
-      std::vector<uint64_t>& fresh = keys.back().second;
-      // All repetitions probed (no early exit): one range [0, L).
-      edition->family.ComputeAllFilters(query, &fresh);
-      local.filters += fresh.size();
-      return fresh;
-    };
-    for (const void* raw : states) {
-      const auto* state = static_cast<const ShardState*>(raw);
-      const std::vector<uint64_t>& shard_keys =
-          keys_for(state->edition.get());
-      PostingSet<VectorId> seen;
-      auto consider = [&](VectorId id) {
-        if (!seen.insert(id).second) return;
-        if (state->IsTombstoned(id)) return;
-        auto items = ItemsOf(*state, id);
-        if (items.empty()) return;
-        local.verifications++;
-        double sim = Similarity(options_.index.verify_measure, query, items);
-        if (sim >= threshold) out.push_back({id, sim});
-      };
-      for (uint64_t key : shard_keys) {
-        auto postings = state->base->Lookup(key);
-        local.candidates += postings.size();
-        for (VectorId id : postings) consider(id);
-        const std::vector<VectorId>* extra = state->FindDelta(key);
-        if (extra != nullptr) {
-          local.candidates += extra->size();
-          for (VectorId id : *extra) consider(id);
-        }
-      }
-      local.distinct_candidates += seen.size();
-    }
-  }
-  std::sort(out.begin(), out.end(), [](const Match& a, const Match& b) {
-    if (a.similarity != b.similarity) return a.similarity > b.similarity;
-    return a.id < b.id;
-  });
-  local.seconds = timer.ElapsedSeconds();
-  if (stats != nullptr) *stats = local;
-  return out;
-}
-
 std::optional<Match> DynamicIndex::Query(std::span<const ItemId> query,
                                          QueryStats* stats) const {
-  if (!built()) {
-    if (stats != nullptr) *stats = QueryStats{};
-    return std::nullopt;
-  }
-  Snapshot snapshot = GetSnapshot();
-  QueryScratch scratch;
-  return QueryImpl(snapshot.states_, query, stats, &scratch);
+  return GetSnapshot().Query(query, stats);
 }
 
 std::vector<Match> DynamicIndex::QueryAll(std::span<const ItemId> query,
                                           double threshold,
                                           QueryStats* stats) const {
-  if (!built()) {
-    if (stats != nullptr) *stats = QueryStats{};
-    return {};
-  }
-  Snapshot snapshot = GetSnapshot();
-  return QueryAllImpl(snapshot.states_, query, threshold, stats);
+  return GetSnapshot().QueryAll(query, threshold, stats);
 }
 
 DynamicIndex::Snapshot DynamicIndex::GetSnapshot() const {
@@ -1123,8 +953,9 @@ std::optional<Match> DynamicIndex::Snapshot::Query(
     if (stats != nullptr) *stats = QueryStats{};
     return std::nullopt;
   }
-  QueryScratch scratch;
-  return index_->QueryImpl(states_, query, stats, &scratch);
+  return probe::FirstMatch(ShardSources{index_, &states_}, query,
+                           index_->options_.index.verify_measure, nullptr,
+                           nullptr, stats);
 }
 
 std::vector<Match> DynamicIndex::Snapshot::QueryAll(
@@ -1134,7 +965,9 @@ std::vector<Match> DynamicIndex::Snapshot::QueryAll(
     if (stats != nullptr) *stats = QueryStats{};
     return {};
   }
-  return index_->QueryAllImpl(states_, query, threshold, stats);
+  return probe::AllMatches(ShardSources{index_, &states_}, query,
+                           index_->options_.index.verify_measure, threshold,
+                           nullptr, stats);
 }
 
 size_t DynamicIndex::Snapshot::size() const {
@@ -1162,16 +995,9 @@ std::vector<std::optional<Match>> DynamicIndex::BatchQuery(
   // One pinned snapshot for the whole batch: a consistent cross-shard
   // cut, unaffected by concurrent writers, compaction or rebuild.
   Snapshot snapshot = GetSnapshot();
-  return batch_internal::Run<QueryScratch>(
-      queries, pool, stats, batch_stats,
-      [&](size_t i, QueryScratch* scratch, QueryStats* query_stats) {
-        return QueryImpl(snapshot.states_,
-                         queries.Get(static_cast<VectorId>(i)), query_stats,
-                         scratch);
-      },
-      [](const QueryScratch& scratch, BatchQueryStats* agg) {
-        AddPathGenStats(&agg->path_gen, scratch.path_gen);
-      });
+  return probe::BatchFirstMatch(ShardSources{this, &snapshot.states_},
+                                queries, options_.index.verify_measure, pool,
+                                stats, batch_stats);
 }
 
 bool DynamicIndex::IsLive(VectorId id) const {

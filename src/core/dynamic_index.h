@@ -372,30 +372,7 @@ class DynamicIndex : public IndexView {
   struct Edition;       // parameter edition (filter family + derivation)
   struct Shard;         // atomic snapshot slot + writer mutex
   struct ShardState;    // immutable published snapshot
-  struct QueryScratch;  // defined in dynamic_index.cc
-
-  /// First passing candidate of one (repetition, shard) scan; the
-  /// coordinate orders base postings before delta postings of a key.
-  struct RepHit {
-    bool found = false;
-    size_t key_idx = 0;
-    uint8_t phase = 0;  ///< 0 = base table, 1 = delta
-    VectorId id = 0;
-    double similarity = 0.0;
-  };
-
-  std::optional<Match> QueryImpl(const std::vector<const void*>& states,
-                                 std::span<const ItemId> query,
-                                 QueryStats* stats,
-                                 QueryScratch* scratch) const;
-  std::vector<Match> QueryAllImpl(const std::vector<const void*>& states,
-                                  std::span<const ItemId> query,
-                                  double threshold, QueryStats* stats) const;
-  RepHit ScanShardRep(const ShardState& state, std::span<const ItemId> query,
-                      const std::vector<uint64_t>& keys,
-                      PostingSet<VectorId>* seen,
-                      QueryStats* stats) const;
-  std::span<const ItemId> ItemsOf(const ShardState& state, VectorId id) const;
+  struct ShardSources;  // a view's shards as probe-kernel sources
 
   /// Swaps \p next in as \p shard's snapshot and retires the old one.
   /// Caller holds the shard's writer mutex. Returns true when the limbo

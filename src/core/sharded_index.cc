@@ -7,8 +7,8 @@
 #include "core/batch.h"
 #include "core/frozen_shard.h"
 #include "core/index_io.h"
+#include "core/probe.h"
 #include "hashing/mix.h"
-#include "sim/measures.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
@@ -161,42 +161,8 @@ Status BuildShardTables(const Dataset& data, const FilterFamily& family,
 
 }  // namespace sharded_internal
 
-// Per-query workspace reused across a batch: key buffer, one dedup set
-// per shard, the per-(rep, shard) hit/stat slots, and path-generation
-// counters for batch aggregation.
-struct ShardedIndex::QueryScratch {
-  PathScratch path;
-  std::vector<uint64_t> keys;
-  std::vector<PostingSet<VectorId>> seen;
-  std::vector<RepHit> hits;
-  std::vector<QueryStats> shard_stats;
-  PathGenStats path_gen;
-};
-
-ShardedIndex::RepHit ShardedIndex::ScanShardRep(
-    const FilterTable& table, std::span<const ItemId> query,
-    const std::vector<uint64_t>& keys, PostingSet<VectorId>* seen,
-    QueryStats* stats) const {
-  RepHit hit;
-  const double threshold = family_.verify_threshold();
-  for (size_t ki = 0; ki < keys.size(); ++ki) {
-    auto postings = table.Lookup(keys[ki]);
-    stats->candidates += postings.size();
-    for (VectorId id : postings) {
-      if (!seen->insert(id).second) continue;
-      stats->verifications++;
-      double sim = Similarity(options_.index.verify_measure, query,
-                              data_->Get(id));
-      if (sim >= threshold) {
-        hit.found = true;
-        hit.key_idx = ki;
-        hit.id = id;
-        hit.similarity = sim;
-        return hit;
-      }
-    }
-  }
-  return hit;
+probe::TableSources ShardedIndex::Sources() const {
+  return probe::TableSources{shards_, data_, &family_};
 }
 
 std::optional<Match> ShardedIndex::Query(std::span<const ItemId> query,
@@ -207,127 +173,15 @@ std::optional<Match> ShardedIndex::Query(std::span<const ItemId> query,
 std::optional<Match> ShardedIndex::Query(std::span<const ItemId> query,
                                          ThreadPool* pool,
                                          QueryStats* stats) const {
-  QueryScratch scratch;
-  return QueryImpl(query, pool, stats, &scratch);
-}
-
-std::optional<Match> ShardedIndex::QueryImpl(std::span<const ItemId> query,
-                                             ThreadPool* pool,
-                                             QueryStats* stats,
-                                             QueryScratch* scratch) const {
-  Timer timer;
-  QueryStats local;
-  std::optional<Match> found;
-  if (built() && !query.empty()) {
-    const int num = num_shards();
-    scratch->seen.resize(static_cast<size_t>(num));
-    for (auto& seen : scratch->seen) seen.clear();
-    family_.engine().Prepare(query, &scratch->path);
-    for (int rep = 0; rep < family_.repetitions() && !found; ++rep) {
-      scratch->keys.clear();
-      PathGenStats gen;
-      const uint32_t r = static_cast<uint32_t>(rep);
-      family_.engine().Generate(&scratch->path, r, r + 1, &scratch->keys,
-                                nullptr, &gen);
-      AddPathGenStats(&scratch->path_gen, gen);
-      local.filters += scratch->keys.size();
-      scratch->hits.assign(static_cast<size_t>(num), RepHit{});
-      scratch->shard_stats.assign(static_cast<size_t>(num), QueryStats{});
-      auto scan_shard = [&](size_t s) {
-        scratch->hits[s] =
-            ScanShardRep(shards_[s], query, scratch->keys,
-                         &scratch->seen[s], &scratch->shard_stats[s]);
-      };
-      if (pool != nullptr && num > 1) {
-        pool->ParallelFor(static_cast<size_t>(num), /*grain=*/1,
-                          [&](size_t begin, size_t end, int) {
-                            for (size_t s = begin; s < end; ++s) {
-                              scan_shard(s);
-                            }
-                          });
-      } else {
-        for (size_t s = 0; s < static_cast<size_t>(num); ++s) scan_shard(s);
-      }
-      // Merge by scan coordinate: the unsharded index checks candidates
-      // in (key position, id-within-posting-list) order, so the minimal
-      // (key_idx, id) over the shard winners is exactly its first hit.
-      const RepHit* best = nullptr;
-      for (const RepHit& hit : scratch->hits) {
-        if (!hit.found) continue;
-        if (best == nullptr || hit.key_idx < best->key_idx ||
-            (hit.key_idx == best->key_idx && hit.id < best->id)) {
-          best = &hit;
-        }
-      }
-      for (const QueryStats& qs : scratch->shard_stats) {
-        local.candidates += qs.candidates;
-        local.verifications += qs.verifications;
-      }
-      if (best != nullptr) found = Match{best->id, best->similarity};
-    }
-    size_t distinct = 0;
-    for (const auto& seen : scratch->seen) distinct += seen.size();
-    local.distinct_candidates = distinct;
-  }
-  local.seconds = timer.ElapsedSeconds();
-  if (stats != nullptr) *stats = local;
-  return found;
+  return probe::FirstMatch(Sources(), query, options_.index.verify_measure,
+                           pool, nullptr, stats);
 }
 
 std::vector<Match> ShardedIndex::QueryAll(std::span<const ItemId> query,
                                           double threshold, QueryStats* stats,
                                           ThreadPool* pool) const {
-  Timer timer;
-  QueryStats local;
-  std::vector<Match> out;
-  if (built() && !query.empty()) {
-    // QueryAll exhausts every repetition, so all keys can be computed up
-    // front (one all-repetitions pass) and each shard scanned exactly
-    // once.
-    std::vector<uint64_t> keys;
-    family_.ComputeAllFilters(query, &keys);
-    local.filters = keys.size();
-    const size_t num = shards_.size();
-    std::vector<std::vector<Match>> matches(num);
-    std::vector<QueryStats> shard_stats(num);
-    std::vector<size_t> distinct(num, 0);
-    auto scan_shard = [&](size_t s) {
-      PostingSet<VectorId> seen;
-      for (uint64_t key : keys) {
-        auto postings = shards_[s].Lookup(key);
-        shard_stats[s].candidates += postings.size();
-        for (VectorId id : postings) {
-          if (!seen.insert(id).second) continue;
-          shard_stats[s].verifications++;
-          double sim = Similarity(options_.index.verify_measure, query,
-                                  data_->Get(id));
-          if (sim >= threshold) matches[s].push_back({id, sim});
-        }
-      }
-      distinct[s] = seen.size();
-    };
-    if (pool != nullptr && num > 1) {
-      pool->ParallelFor(num, /*grain=*/1,
-                        [&](size_t begin, size_t end, int) {
-                          for (size_t s = begin; s < end; ++s) scan_shard(s);
-                        });
-    } else {
-      for (size_t s = 0; s < num; ++s) scan_shard(s);
-    }
-    for (size_t s = 0; s < num; ++s) {
-      local.candidates += shard_stats[s].candidates;
-      local.verifications += shard_stats[s].verifications;
-      local.distinct_candidates += distinct[s];
-      out.insert(out.end(), matches[s].begin(), matches[s].end());
-    }
-  }
-  std::sort(out.begin(), out.end(), [](const Match& a, const Match& b) {
-    if (a.similarity != b.similarity) return a.similarity > b.similarity;
-    return a.id < b.id;
-  });
-  local.seconds = timer.ElapsedSeconds();
-  if (stats != nullptr) *stats = local;
-  return out;
+  return probe::AllMatches(Sources(), query, options_.index.verify_measure,
+                           threshold, pool, stats);
 }
 
 std::vector<std::optional<Match>> ShardedIndex::BatchQuery(
@@ -344,15 +198,9 @@ std::vector<std::optional<Match>> ShardedIndex::BatchQuery(
   // The batch is parallelized over queries; each query scans its shards
   // serially (fanning a query's shards onto the same pool would deadlock
   // a worker waiting on its own pool).
-  return batch_internal::Run<QueryScratch>(
-      queries, pool, stats, batch_stats,
-      [&](size_t i, QueryScratch* scratch, QueryStats* query_stats) {
-        return QueryImpl(queries.Get(static_cast<VectorId>(i)), nullptr,
-                         query_stats, scratch);
-      },
-      [](const QueryScratch& scratch, BatchQueryStats* agg) {
-        AddPathGenStats(&agg->path_gen, scratch.path_gen);
-      });
+  return probe::BatchFirstMatch(Sources(), queries,
+                                options_.index.verify_measure, pool, stats,
+                                batch_stats);
 }
 
 std::vector<uint64_t> ShardedIndex::ComputeFilterKeys(

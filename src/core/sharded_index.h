@@ -34,7 +34,6 @@
 #include "data/dataset.h"
 #include "data/distribution.h"
 #include "sim/brute_force.h"
-#include "util/containers.h"
 #include "util/status.h"
 
 namespace skewsearch {
@@ -162,24 +161,8 @@ class ShardedIndex : public IndexView {
   size_t MemoryBytes() const override;
 
  private:
-  struct QueryScratch;  // defined in sharded_index.cc
-
-  /// First passing candidate of one (repetition, shard) scan, tagged
-  /// with its scan coordinate for the cross-shard merge.
-  struct RepHit {
-    bool found = false;
-    size_t key_idx = 0;
-    VectorId id = 0;
-    double similarity = 0.0;
-  };
-
-  RepHit ScanShardRep(const FilterTable& table, std::span<const ItemId> query,
-                      const std::vector<uint64_t>& keys,
-                      PostingSet<VectorId>* seen, QueryStats* stats) const;
-
-  std::optional<Match> QueryImpl(std::span<const ItemId> query,
-                                 ThreadPool* pool, QueryStats* stats,
-                                 QueryScratch* scratch) const;
+  /// The K shard tables as the probe kernel's posting sources.
+  probe::TableSources Sources() const;
 
   const Dataset* data_ = nullptr;
   const ProductDistribution* dist_ = nullptr;

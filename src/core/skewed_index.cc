@@ -8,11 +8,9 @@
 #include "core/batch.h"
 #include "core/frozen_shard.h"
 #include "core/index_io.h"
+#include "core/probe.h"
 #include "core/rho.h"
 #include "core/sharded_index.h"
-#include "obs/metrics.h"
-#include "obs/span.h"
-#include "sim/measures.h"
 #include "util/logging.h"
 #include "util/math.h"
 #include "util/thread_pool.h"
@@ -230,149 +228,21 @@ std::vector<uint64_t> SkewedPathIndex::ComputeFilterKeys(
   return keys;
 }
 
-// Reusable per-thread query workspace: the filter-key and dedup buffers
-// keep their heap allocations across the (possibly many) queries one
-// worker slot answers, and path-generation counters accumulate here so a
-// batch can report them without touching shared state.
-struct SkewedPathIndex::QueryScratch {
-  PathScratch path;
-  std::vector<uint64_t> keys;
-  PostingSet<VectorId> seen;
-  PathGenStats path_gen;
-};
+probe::TableSources SkewedPathIndex::Sources() const {
+  return probe::TableSources{{&table_, 1}, data_, &family_};
+}
 
 std::optional<Match> SkewedPathIndex::Query(std::span<const ItemId> query,
                                             QueryStats* stats) const {
-  QueryScratch scratch;
-  return QueryImpl(query, stats, &scratch);
-}
-
-std::optional<Match> SkewedPathIndex::QueryImpl(std::span<const ItemId> query,
-                                                QueryStats* stats,
-                                                QueryScratch* scratch) const {
-  // The query path's metrics (docs/OBSERVABILITY.md, "query.*").
-  // Function-local statics so the registry mutex is taken once per
-  // process; per query this adds a handful of relaxed atomic adds and
-  // two clock reads per repetition (the filter/verify phase split).
-  static obs::Counter* const queries_metric =
-      obs::MetricsRegistry::Global().GetCounter("query.count");
-  static obs::Counter* const hits_metric =
-      obs::MetricsRegistry::Global().GetCounter("query.hits");
-  static obs::Counter* const candidates_metric =
-      obs::MetricsRegistry::Global().GetCounter("query.candidates");
-  static obs::Counter* const verifications_metric =
-      obs::MetricsRegistry::Global().GetCounter("query.verifications");
-  static obs::Histogram* const latency_metric =
-      obs::MetricsRegistry::Global().GetHistogram("query.latency_ns");
-  static obs::Histogram* const repetitions_metric =
-      obs::MetricsRegistry::Global().GetHistogram("query.repetitions_probed");
-  static obs::Histogram* const fanout_metric =
-      obs::MetricsRegistry::Global().GetHistogram("query.rep_fanout");
-  static obs::Histogram* const filters_span_metric =
-      obs::MetricsRegistry::Global().GetHistogram("span.query.filters");
-  static obs::Histogram* const verify_span_metric =
-      obs::MetricsRegistry::Global().GetHistogram("span.query.verify");
-
-  Timer timer;
-  QueryStats local;
-  std::optional<Match> found;
-  uint64_t reps_probed = 0;
-  int64_t filter_ns = 0;
-  int64_t phase_mark = 0;
-  if (family_.valid() && !query.empty()) {
-    const double threshold = family_.verify_threshold();
-    std::vector<uint64_t>& keys = scratch->keys;
-    PostingSet<VectorId>& seen = scratch->seen;
-    seen.clear();
-    family_.engine().Prepare(query, &scratch->path);
-    for (int rep = 0; rep < build_stats_.repetitions && !found; ++rep) {
-      reps_probed++;
-      const uint64_t rep_candidates_before = local.candidates;
-      keys.clear();
-      PathGenStats gen;
-      const uint32_t r = static_cast<uint32_t>(rep);
-      family_.engine().Generate(&scratch->path, r, r + 1, &keys, nullptr,
-                                &gen);
-      AddPathGenStats(&scratch->path_gen, gen);
-      local.filters += keys.size();
-      // Everything between phase_mark and here was filter generation;
-      // the rest of the repetition is lookup + verification.
-      const int64_t after_filters = timer.ElapsedNanos();
-      filter_ns += after_filters - phase_mark;
-      for (uint64_t key : keys) {
-        auto postings = table_.Lookup(key);
-        local.candidates += postings.size();
-        for (VectorId id : postings) {
-          if (!seen.insert(id).second) continue;
-          local.verifications++;
-          double sim =
-              Similarity(options_.verify_measure, query, data_->Get(id));
-          if (sim >= threshold) {
-            found = Match{id, sim};
-            break;
-          }
-        }
-        if (found) break;
-      }
-      phase_mark = timer.ElapsedNanos();
-      fanout_metric->Record(local.candidates - rep_candidates_before);
-    }
-    local.distinct_candidates = seen.size();
-  }
-  const int64_t total_ns = timer.ElapsedNanos();
-  const int64_t verify_ns = phase_mark - filter_ns;
-  local.seconds = static_cast<double>(total_ns) * 1e-9;
-  queries_metric->Increment();
-  if (found) hits_metric->Increment();
-  candidates_metric->Increment(local.candidates);
-  verifications_metric->Increment(local.verifications);
-  latency_metric->Record(static_cast<uint64_t>(total_ns));
-  repetitions_metric->Record(reps_probed);
-  filters_span_metric->Record(static_cast<uint64_t>(filter_ns));
-  verify_span_metric->Record(static_cast<uint64_t>(verify_ns));
-  if (obs::ScopedTrace* trace = obs::ScopedTrace::Current()) {
-    trace->Add("span.query.filters", static_cast<uint64_t>(filter_ns));
-    trace->Add("span.query.verify", static_cast<uint64_t>(verify_ns));
-    trace->Add("query.latency_ns", static_cast<uint64_t>(total_ns));
-  }
-  if (stats != nullptr) *stats = local;
-  return found;
+  return probe::FirstMatch(Sources(), query, options_.verify_measure,
+                           nullptr, nullptr, stats);
 }
 
 std::vector<Match> SkewedPathIndex::QueryAll(std::span<const ItemId> query,
                                              double threshold,
                                              QueryStats* stats) const {
-  SKEWSEARCH_SPAN("query.all");
-  Timer timer;
-  QueryStats local;
-  std::vector<Match> out;
-  if (family_.valid() && !query.empty()) {
-    // QueryAll exhausts every repetition (no early exit), so all keys
-    // are generated up front; key order matches the per-rep loop.
-    std::vector<uint64_t> keys;
-    family_.ComputeAllFilters(query, &keys);
-    local.filters += keys.size();
-    PostingSet<VectorId> seen;
-    for (uint64_t key : keys) {
-      auto postings = table_.Lookup(key);
-      local.candidates += postings.size();
-      for (VectorId id : postings) {
-        if (!seen.insert(id).second) continue;
-        local.verifications++;
-        double sim =
-            Similarity(options_.verify_measure, query, data_->Get(id));
-        if (sim >= threshold) out.push_back({id, sim});
-      }
-    }
-    local.distinct_candidates = seen.size();
-  }
-  std::sort(out.begin(), out.end(), [](const Match& a, const Match& b) {
-    if (a.similarity != b.similarity) return a.similarity > b.similarity;
-    return a.id < b.id;
-  });
-  local.seconds = timer.ElapsedSeconds();
-  if (stats != nullptr) *stats = local;
-  return out;
+  return probe::AllMatches(Sources(), query, options_.verify_measure,
+                           threshold, nullptr, stats);
 }
 
 std::vector<Match> SkewedPathIndex::QueryTopK(std::span<const ItemId> query,
@@ -395,15 +265,8 @@ std::vector<std::optional<Match>> SkewedPathIndex::BatchQuery(
 std::vector<std::optional<Match>> SkewedPathIndex::BatchQuery(
     const Dataset& queries, ThreadPool* pool, std::vector<QueryStats>* stats,
     BatchQueryStats* batch_stats) const {
-  return batch_internal::Run<QueryScratch>(
-      queries, pool, stats, batch_stats,
-      [&](size_t i, QueryScratch* scratch, QueryStats* query_stats) {
-        return QueryImpl(queries.Get(static_cast<VectorId>(i)), query_stats,
-                         scratch);
-      },
-      [](const QueryScratch& scratch, BatchQueryStats* agg) {
-        AddPathGenStats(&agg->path_gen, scratch.path_gen);
-      });
+  return probe::BatchFirstMatch(Sources(), queries, options_.verify_measure,
+                                pool, stats, batch_stats);
 }
 
 double SkewedPathIndex::EstimateCollisionRate(

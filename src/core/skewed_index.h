@@ -43,6 +43,9 @@ namespace skewsearch {
 class ThreadPool;       // util/thread_pool.h
 class FrozenShardFile;  // core/frozen_shard.h
 struct FrozenMapOptions;
+namespace probe {
+struct TableSources;    // core/probe.h
+}  // namespace probe
 
 /// Which of the paper's two analyses the index instantiates.
 enum class IndexMode {
@@ -320,14 +323,8 @@ class SkewedPathIndex : public IndexView {
   const FrozenShardFile* frozen_file() const { return frozen_.get(); }
 
  private:
-  /// Per-thread reusable query workspace (defined in skewed_index.cc).
-  struct QueryScratch;
-
-  /// Query() against caller-provided scratch buffers; accumulates the
-  /// engine's PathGenStats into the scratch.
-  std::optional<Match> QueryImpl(std::span<const ItemId> query,
-                                 QueryStats* stats,
-                                 QueryScratch* scratch) const;
+  /// The one-table posting source the probe kernel scans.
+  probe::TableSources Sources() const;
 
   const Dataset* data_ = nullptr;
   const ProductDistribution* dist_ = nullptr;

@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "core/probe.h"
+
 namespace skewsearch {
 
 JoinWorker::JoinWorker(
@@ -21,32 +23,49 @@ JoinWorker::JoinWorker(
   distinct_vectors_ = distinct.size();
 }
 
+namespace {
+
+/// A worker's posting slice as the probe kernel's one source: the
+/// self-join exclusion runs in Admit, before verification (the
+/// single-process join filters after, so its verification counter is
+/// higher, but the emitted pairs are the same).
+struct SliceSource {
+  static constexpr bool kHasDelta = false;
+
+  const FilterTable* slice;
+  const Dataset* build_data;
+  const PostingMap<VectorId, VectorId>* dense_positions;
+  const ProbeRequest* request;
+
+  size_t size() const { return 1; }
+  const FilterTable& table(size_t) const { return *slice; }
+  bool Admit(size_t, VectorId id, std::span<const ItemId>* items) const {
+    if (request->exclude_left_and_below && id <= request->left) return false;
+    // Reconstructed (remote) workers store only the shipped vectors,
+    // densely; the session layer guarantees every table id is mapped.
+    const VectorId stored =
+        dense_positions == nullptr ? id : dense_positions->find(id)->second;
+    *items = build_data->Get(stored);
+    return true;
+  }
+};
+
+}  // namespace
+
 ProbeResponse JoinWorker::Probe(const ProbeRequest& request) const {
   ProbeResponse response;
   response.left = request.left;
-  std::span<const ItemId> query = request.items;
   // Same candidate-collection semantics as the single-process QueryAll:
   // dedup ids across every key (and repetition), then verify each
-  // survivor once, counting every posting entry scanned. The self-join
-  // exclusion runs before verification — the single-process join filters
-  // after, so its verification counter is higher, but the emitted pairs
-  // are the same.
-  PostingSet<VectorId> seen;
-  for (uint64_t key : request.keys) {
-    auto postings = table_.Lookup(key);
-    response.candidates += postings.size();
-    for (VectorId id : postings) {
-      if (!seen.insert(id).second) continue;
-      if (request.exclude_left_and_below && id <= request.left) continue;
-      response.verifications++;
-      // Reconstructed (remote) workers store only the shipped vectors,
-      // densely; the session layer guarantees every table id is mapped.
-      const VectorId stored =
-          dense_positions_ == nullptr ? id : dense_positions_->find(id)->second;
-      double sim = Similarity(measure_, query, build_data_->Get(stored));
-      if (sim >= threshold_) response.matches.push_back({id, sim});
-    }
-  }
+  // admitted survivor once, counting every posting entry scanned.
+  // Matches stay in scan order.
+  QueryStats stats;
+  probe::ScanKeys(
+      SliceSource{&table_, build_data_, dense_positions_, &request},
+      request.keys, request.items, measure_, threshold_, &stats,
+      &response.matches);
+  response.candidates = stats.candidates;
+  response.verifications = stats.verifications;
   return response;
 }
 

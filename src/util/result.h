@@ -4,7 +4,8 @@
 #ifndef SKEWSEARCH_UTIL_RESULT_H_
 #define SKEWSEARCH_UTIL_RESULT_H_
 
-#include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <optional>
 #include <utility>
 
@@ -15,8 +16,10 @@ namespace skewsearch {
 /// \brief Holds either a value of type T or an error Status.
 ///
 /// A Result constructed from a value is OK; a Result constructed from a
-/// non-OK Status carries that error. Accessing the value of an errored
-/// Result is a programming error (checked by assert in debug builds).
+/// non-OK Status carries that error (an OK Status, which carries no
+/// value, becomes an Internal error). Accessing the value of an errored
+/// Result is a programming error: in every build type it prints the
+/// status to stderr and aborts.
 template <typename T>
 class Result {
  public:
@@ -26,7 +29,9 @@ class Result {
 
   /// Constructs an errored result from a non-OK \p status.
   Result(Status status) : status_(std::move(status)) {  // NOLINT
-    assert(!status_.ok() && "Result(Status) requires a non-OK status");
+    if (status_.ok()) {
+      status_ = Status::Internal("Result constructed from an OK status");
+    }
   }
 
   /// Returns true iff a value is present.
@@ -38,15 +43,15 @@ class Result {
   /// \name Value accessors; must only be called when ok().
   /// @{
   const T& value() const& {
-    assert(ok());
+    CheckOk();
     return *value_;
   }
   T& value() & {
-    assert(ok());
+    CheckOk();
     return *value_;
   }
   T&& value() && {
-    assert(ok());
+    CheckOk();
     return std::move(*value_);
   }
   const T& operator*() const& { return value(); }
@@ -61,6 +66,13 @@ class Result {
   }
 
  private:
+  void CheckOk() const {
+    if (ok()) [[likely]] return;
+    std::fprintf(stderr, "Result::value() on an error: %s\n",
+                 status_.ToString().c_str());
+    std::abort();
+  }
+
   Status status_;
   std::optional<T> value_;
 };

@@ -108,5 +108,30 @@ TEST(ResultTest, ArrowOperator) {
   EXPECT_EQ(r->size(), 3u);
 }
 
+TEST(ResultTest, OkStatusBecomesInternalError) {
+  Result<int> r{Status::OK()};
+  EXPECT_FALSE(r.ok());
+  EXPECT_TRUE(r.status().IsInternal());
+  EXPECT_EQ(r.ValueOr(5), 5);
+}
+
+// Reading the value of an errored Result aborts with the status on
+// stderr in every build type (Release included), through each accessor.
+TEST(ResultDeathTest, ValueOfErrorAborts) {
+  Result<int> r(Status::NotFound("no such vector"));
+  EXPECT_DEATH((void)r.value(), "no such vector");
+  EXPECT_DEATH((void)*r, "no such vector");
+  const Result<int>& cr = r;
+  EXPECT_DEATH((void)cr.value(), "no such vector");
+  Result<std::string> s(Status::IOError("disk gone"));
+  EXPECT_DEATH((void)s->size(), "disk gone");
+  EXPECT_DEATH((void)std::move(s).value(), "disk gone");
+}
+
+TEST(ResultDeathTest, ValueOfOkStatusResultAborts) {
+  Result<int> r{Status::OK()};
+  EXPECT_DEATH((void)r.value(), "OK status");
+}
+
 }  // namespace
 }  // namespace skewsearch
