@@ -1,10 +1,13 @@
 // Copyright 2026 The skewsearch Authors.
-// Frozen-shard load bench: heap Load() (deserialize the posting table
-// into owned vectors) vs MapFrozen() (mmap the SKF1 file and serve the
-// table zero-copy). The claim under test: map time is metadata
-// validation plus one sequential pass over the key sections (each view's
-// lookup directory), well below a heap load that reads and copies every
-// array, and the mapped index answers queries identically.
+// Frozen-shard load bench: two restores of one SKF1 file. The heap leg
+// is MapFrozen with force_heap + verify_payload (read every array onto
+// the heap and check every posting, the fully checked restore); the
+// mapped leg is the default MapFrozen (mmap the file and serve the
+// tables zero-copy). The claim under test: map time is metadata
+// validation plus one sequential pass over the key and offset sections
+// (each view's lookup directory and offsets' order check), well below a
+// heap load that reads, copies and checks every array, and both answer
+// queries identically.
 //
 // Flags: --json FILE   write metrics JSON (see bench_util.h)
 
@@ -20,6 +23,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "core/frozen_shard.h"
 #include "core/sharded_index.h"
 #include "data/generators.h"
 #include "util/random.h"
@@ -94,10 +98,11 @@ LoadTimes RunCase(const std::string& tag, size_t n,
   const std::string stem = std::string(tmpdir != nullptr ? tmpdir : "/tmp") +
                            "/skewsearch_mmap_bench_" +
                            std::to_string(::getpid()) + "_" + tag;
-  const std::string heap_path = stem + ".skidx";
   const std::string frozen_path = stem + ".skf";
+  const FrozenMapOptions heap_restore{.force_heap = true,
+                                      .verify_payload = true};
   LoadTimes times;
-  if (!built.Save(heap_path).ok() || !built.Freeze(frozen_path).ok()) {
+  if (!built.Freeze(frozen_path).ok()) {
     std::fprintf(stderr, "persist failed (n=%zu)\n", n);
     return {};
   }
@@ -106,7 +111,8 @@ LoadTimes RunCase(const std::string& tag, size_t n,
 
   times.heap_ms = BestMs([&] {
     ShardedIndex loaded;
-    bench::DoNotOptimize(loaded.Load(heap_path, &data, &dist));
+    bench::DoNotOptimize(
+        loaded.MapFrozen(frozen_path, &data, &dist, heap_restore));
   });
   times.map_ms = BestMs([&] {
     ShardedIndex mapped;
@@ -118,7 +124,7 @@ LoadTimes RunCase(const std::string& tag, size_t n,
   // here it guards the bench against measuring a broken mapping).
   ShardedIndex loaded;
   ShardedIndex mapped;
-  if (!loaded.Load(heap_path, &data, &dist).ok() ||
+  if (!loaded.MapFrozen(frozen_path, &data, &dist, heap_restore).ok() ||
       !mapped.MapFrozen(frozen_path, &data, &dist).ok()) {
     std::fprintf(stderr, "reload failed (n=%zu)\n", n);
     return times;
@@ -140,7 +146,6 @@ LoadTimes RunCase(const std::string& tag, size_t n,
     }
   }
 
-  std::remove(heap_path.c_str());
   std::remove(frozen_path.c_str());
   return times;
 }
@@ -185,15 +190,15 @@ int Run(int argc, char** argv) {
   table.Print();
 
   // Growing the index ~8x grows heap load time roughly with it; map
-  // time grows too, with the key sections its directory pass reads, but
-  // it never reads or copies the offsets and ids.
+  // time grows too, with the key and offset sections it reads, but it
+  // never reads or copies the ids.
   if (results.size() == 2 && results[0].map_ms > 0.0 &&
       results[0].heap_ms > 0.0) {
     const double load_scale = results[1].heap_ms / results[0].heap_ms;
     const double map_scale = results[1].map_ms / results[0].map_ms;
     bench::Note("heap load scaled " + bench::Fmt(load_scale, 1) +
                 "x with the index; mmap scaled " + bench::Fmt(map_scale, 1) +
-                "x (directory pass over the keys)");
+                "x (passes over the keys and offsets)");
     reporter.Metric("heap_load_scale", load_scale, /*stable=*/false, "x");
     reporter.Metric("mmap_map_scale", map_scale, /*stable=*/false, "x");
   }

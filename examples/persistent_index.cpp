@@ -1,11 +1,15 @@
 // Production workflow: ingest data with arbitrary token ids, relabel by
 // frequency (faster sampling / tighter layout), estimate the distribution
-// from the data, build the index once, persist it, and reload it in a
-// "fresh process" without paying the build again.
+// from the data, build the index once, freeze it to disk, and map it
+// back in a "fresh process" without paying the build again.
+
+#include <unistd.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <string>
 
+#include "core/frozen_shard.h"
 #include "core/skewed_index.h"
 #include "data/correlated.h"
 #include "data/estimate.h"
@@ -41,7 +45,10 @@ int main() {
 
   // Build once, persist.
   const double alpha = 0.75;
-  const std::string path = "/tmp/skewsearch_demo.skidx";
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("skewsearch_demo_" + std::to_string(::getpid()) + ".skf"))
+          .string();
   {
     SkewedPathIndex index;
     SkewedIndexOptions options;
@@ -53,23 +60,25 @@ int main() {
       std::printf("build failed: %s\n", s.ToString().c_str());
       return 1;
     }
-    std::printf("built in %.2fs (%zu filter entries), saving...\n",
+    std::printf("built in %.2fs (%zu filter entries), freezing...\n",
                 timer.ElapsedSeconds(), index.build_stats().total_filters);
-    if (Status s = index.Save(path); !s.ok()) {
-      std::printf("save failed: %s\n", s.ToString().c_str());
+    if (Status s = index.Freeze(path); !s.ok()) {
+      std::printf("freeze failed: %s\n", s.ToString().c_str());
       return 1;
     }
   }
 
-  // "New process": reload and serve.
+  // "New process": map the frozen file and serve it zero-copy. (Pass
+  // FrozenMapOptions{.force_heap = true, .verify_payload = true} to read
+  // it onto the heap and check every posting first.)
   SkewedPathIndex index;
   Timer load_timer;
-  if (Status s = index.Load(path, &data, &dist); !s.ok()) {
-    std::printf("load failed: %s\n", s.ToString().c_str());
+  if (Status s = index.MapFrozen(path, &data, &dist); !s.ok()) {
+    std::printf("map failed: %s\n", s.ToString().c_str());
+    std::remove(path.c_str());
     return 1;
   }
-  std::printf("reloaded in %.3fs (vs rebuild)\n",
-              load_timer.ElapsedSeconds());
+  std::printf("mapped in %.3fs (vs rebuild)\n", load_timer.ElapsedSeconds());
 
   CorrelatedQuerySampler sampler(&dist, alpha);
   int found = 0;
@@ -80,7 +89,7 @@ int main() {
     auto hit = index.Query(q.span());
     found += (hit && hit->id == target);
   }
-  std::printf("served %d queries from the reloaded index, recall %d/%d\n",
+  std::printf("served %d queries from the mapped index, recall %d/%d\n",
               kQueries, found, kQueries);
   std::remove(path.c_str());
   return 0;

@@ -1043,8 +1043,8 @@ int CmdJoinWorker(const Flags& flags) {
   };
 
   // --shard-file: pre-map a frozen SKF1 file (and load the dataset it
-  // was frozen from) so version >= 3 coordinators can open frozen-shard
-  // sessions with a tiny ShardAssignment instead of shipping slices.
+  // was frozen from) so coordinators can open frozen-shard sessions
+  // with a tiny ShardAssignment instead of shipping slices.
   // Both live here, above the server, for the whole Serve() lifetime.
   std::shared_ptr<const FrozenShardFile> frozen_file;
   Dataset frozen_data;

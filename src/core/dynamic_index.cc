@@ -955,7 +955,7 @@ std::optional<Match> DynamicIndex::Snapshot::Query(
   }
   return probe::FirstMatch(ShardSources{index_, &states_}, query,
                            index_->options_.index.verify_measure, nullptr,
-                           nullptr, stats);
+                           stats);
 }
 
 std::vector<Match> DynamicIndex::Snapshot::QueryAll(
@@ -967,7 +967,7 @@ std::vector<Match> DynamicIndex::Snapshot::QueryAll(
   }
   return probe::AllMatches(ShardSources{index_, &states_}, query,
                            index_->options_.index.verify_measure, threshold,
-                           nullptr, stats);
+                           stats);
 }
 
 size_t DynamicIndex::Snapshot::size() const {

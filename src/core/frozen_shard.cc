@@ -31,7 +31,7 @@ using frozen_internal::kSectionAlign;
 using frozen_internal::kShardEntrySize;
 
 constexpr char kFrozenMagic[4] = {'S', 'K', 'F', '1'};
-constexpr uint32_t kMaxFileShards = 1u << 12;  // matches kMaxShards (SKS1)
+constexpr uint32_t kMaxFileShards = 1u << 12;  // ShardedIndex's shard cap
 
 /// The fixed 64-byte SKF1 header (normative layout; docs/FILE_FORMATS.md).
 /// The meta checksum covers bytes [0, 56) of this struct plus the param
@@ -200,8 +200,6 @@ Result<std::shared_ptr<const FrozenShardFile>> FrozenShardFile::Map(
   namespace io = index_io_internal;
   MappedFile::Options open_options;
   open_options.force_heap = options.force_heap;
-  open_options.require_map = options.require_map;
-  open_options.advice = MappedFile::Advice::kRandom;
   Result<MappedFile> opened = MappedFile::Open(path, open_options);
   if (!opened.ok()) return opened.status();
 
@@ -366,6 +364,56 @@ Result<FilterTable> FrozenShardFile::MakeShardView(int s) const {
        static_cast<size_t>(e.ids_count)});
   if (!adopted.ok()) return adopted;
   return table;
+}
+
+Result<FrozenIndexParts> RestoreFrozenIndex(const std::string& path,
+                                            const Dataset* data,
+                                            const ProductDistribution* dist,
+                                            const FrozenMapOptions& options) {
+  if (data == nullptr || dist == nullptr) {
+    return Status::InvalidArgument("data and dist must be non-null");
+  }
+  Result<std::shared_ptr<const FrozenShardFile>> mapped =
+      FrozenShardFile::Map(path, options);
+  if (!mapped.ok()) return mapped.status();
+  FrozenIndexParts parts;
+  parts.file = std::move(mapped).value();
+  const FrozenShardFile& file = *parts.file;
+  if (file.fingerprint() != index_io_internal::Fingerprint(*data)) {
+    return Status::InvalidArgument(
+        "dataset does not match the one this index was built from");
+  }
+  if (data->dimension() > dist->dimension()) {
+    return Status::InvalidArgument(
+        "dataset items exceed the distribution's universe");
+  }
+  // The checksummed per-shard metadata bounds every posting id, so the
+  // beyond-the-dataset rejection needs no O(index) scan.
+  for (int s = 0; s < file.num_shards(); ++s) {
+    const FrozenShardFile::ShardInfo& info = file.shard_info(s);
+    if (info.ids_count > 0 && info.max_id >= data->size()) {
+      return Status::InvalidArgument(
+          "filter table references vector ids beyond the dataset");
+    }
+  }
+
+  const index_io_internal::ParamHeader& header = file.params();
+  Result<FilterFamily> family = FilterFamily::Restore(
+      dist, header.options, data->size(), header.stats.repetitions,
+      header.stats.delta_used, header.verify_threshold);
+  if (!family.ok()) {
+    return Status::InvalidArgument("corrupt index header in '" + path +
+                                   "': " + family.status().message());
+  }
+  parts.family = std::move(family).value();
+  parts.stats = header.stats;
+  parts.shards.reserve(static_cast<size_t>(file.num_shards()));
+  for (int s = 0; s < file.num_shards(); ++s) {
+    Result<FilterTable> view = file.MakeShardView(s);
+    if (!view.ok()) return view.status();
+    parts.shards.push_back(std::move(view).value());
+  }
+  return parts;
 }
 
 }  // namespace skewsearch

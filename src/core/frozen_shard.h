@@ -2,28 +2,36 @@
 // FrozenShardFile: the "SKF1" page-aligned on-disk layout for frozen
 // posting tables, designed to be mmap'd PROT_READ and served zero-copy.
 //
-// The heap formats (SKI1/SKS1/SKD2) stream length-prefixed vectors and
-// materialize them on Load — O(index) start time and a full RAM copy.
-// SKF1 instead lays each shard's frozen CSR arrays (keys, offsets, ids)
-// out offset-based, 64-byte aligned, behind a fixed-size header and a
-// shard section table, so Map() only validates O(num_shards) metadata
-// and MakeShardView() adopts spans straight into the mapped bytes. The
-// one O(index) step of a warm start is each view's lookup directory
+// SKF1 is the one persisted format of the static indexes
+// (SkewedPathIndex, ShardedIndex): Freeze() writes it and MapFrozen()
+// restores from it, either serving the mapped bytes or, with
+// FrozenMapOptions::force_heap, reading them onto the heap. Each
+// shard's frozen CSR arrays (keys, offsets, ids) are laid out
+// offset-based, 64-byte aligned, behind a fixed-size header and a shard
+// section table, so Map() only validates O(num_shards) metadata and
+// MakeShardView() adopts spans straight into the file's bytes. The
+// O(keys) steps of a warm start are each view's lookup directory
 // (core/inverted_index.h), built on the heap in one sequential pass over
-// the shard's key section; the file bytes are the same CSR arrays a heap
-// table holds, so query results are byte-identical to a heap Load by
+// the shard's key section, and one pass checking that its offsets are
+// monotone; the file bytes are the same CSR arrays the
+// built index holds, so query results are byte-identical to it by
 // construction (both run the same Lookup). Residency is the OS page
 // cache's problem. docs/FILE_FORMATS.md specifies the layout
 // normatively; tests/core_frozen_shard_fuzz_test.cc holds Map() to clean
-// rejection of every corrupted byte it can reach, and view lookups to
-// stay in bounds on corrupted keys the default Map cannot see.
+// rejection of every corrupted byte it can reach, and view lookups and
+// queries to stay in bounds on corrupted payload the default Map cannot
+// see.
 //
 // Integrity model: the header, parameter block and shard section table
 // are covered by an always-verified metadata checksum, so Map() never
 // trusts an unchecksummed offset or count. The posting payload itself
 // is covered by per-shard checksums verified only when
 // FrozenMapOptions::verify_payload is set — the O(index) scan is opt-in
-// precisely so the default map stays O(1).
+// precisely so the default map stays O(1). Without it, each view
+// rejects offsets that are not monotone (FilterTable::AdoptFrozenView)
+// and the probe kernel admits no posting id beyond the dataset
+// (core/probe.h), so corrupted payload can cost answers but never a
+// wild read.
 
 #ifndef SKEWSEARCH_CORE_FROZEN_SHARD_H_
 #define SKEWSEARCH_CORE_FROZEN_SHARD_H_
@@ -45,11 +53,9 @@ namespace skewsearch {
 /// \brief How FrozenShardFile::Map opens and validates a file.
 struct FrozenMapOptions {
   /// Skip mmap and read the file onto the heap (same validation, same
-  /// views — just materialized). For environments that cannot map.
+  /// views — just materialized). For environments that cannot map, and
+  /// for callers that want the whole index resident up front.
   bool force_heap = false;
-
-  /// Refuse the heap fallback: fail unless the bytes are truly mmap'd.
-  bool require_map = false;
 
   /// Also verify the per-shard payload checksums and the structural
   /// invariants of every posting array (sorted keys, monotone offsets,
@@ -91,8 +97,8 @@ class FrozenShardFile {
     return shards_[static_cast<size_t>(s)];
   }
 
-  /// The parameter block the file was frozen with (same fields the heap
-  /// formats embed).
+  /// The parameter block the file was frozen with (the same fields SKD2
+  /// embeds).
   const index_io_internal::ParamHeader& params() const { return params_; }
 
   /// Fingerprint of the dataset the index was built over; callers check
@@ -110,11 +116,6 @@ class FrozenShardFile {
   /// built here from the key section, lives on the heap.
   Result<FilterTable> MakeShardView(int s) const;
 
-  /// Applies an access-pattern hint to the whole mapping (advisory).
-  Status Advise(MappedFile::Advice advice) const {
-    return file_.Advise(advice);
-  }
-
  private:
   FrozenShardFile() = default;
 
@@ -126,13 +127,33 @@ class FrozenShardFile {
 
 /// Writes the frozen tables \p shards to \p path in SKF1 form. Shard s
 /// of the file is written from shards[s]; every table must be frozen.
-/// The parameter fields mirror what the heap formats persist, so a
-/// mapped file restores the identical FilterFamily.
+/// The parameter block carries everything FilterFamily::Restore needs,
+/// so a mapped file restores the identical family.
 Status WriteFrozenShards(const std::string& path,
                          const SkewedIndexOptions& options,
                          double verify_threshold,
                          const IndexBuildStats& stats, uint64_t fingerprint,
                          std::span<const FilterTable* const> shards);
+
+/// \brief What a static index adopts from an SKF1 file.
+struct FrozenIndexParts {
+  std::shared_ptr<const FrozenShardFile> file;  ///< keeps the views alive
+  FilterFamily family;  ///< its options() are the file's options
+  IndexBuildStats stats;
+  std::vector<FilterTable> shards;  ///< one view per file shard, in order
+};
+
+/// The restore sequence every static index's MapFrozen runs: maps
+/// \p path under \p options, then checks the dataset fingerprint, the
+/// distribution's universe and each shard's recorded max id against
+/// \p data, restores the FilterFamily from the parameter block over
+/// \p dist and makes one view per shard. Rules that depend on the index
+/// flavour (SkewedPathIndex's single shard, ShardedIndex's placement)
+/// are the caller's.
+Result<FrozenIndexParts> RestoreFrozenIndex(const std::string& path,
+                                            const Dataset* data,
+                                            const ProductDistribution* dist,
+                                            const FrozenMapOptions& options);
 
 namespace frozen_internal {
 

@@ -1,8 +1,9 @@
 // Copyright 2026 The skewsearch Authors.
-// Internal shared pieces of the persisted-index formats — the single
-// ("SKI1"), sharded ("SKS1") and dynamic ("SKD1") files all embed the
-// same parameter block and dataset fingerprint, so the encoding and the
-// corruption checks live here exactly once. Not part of the public API.
+// Internal shared pieces of the persisted-index formats — the frozen
+// static ("SKF1", core/frozen_shard.h) and dynamic ("SKD2") files both
+// embed the same parameter block and dataset fingerprint, so the
+// encoding and the corruption checks live here exactly once. Not part
+// of the public API.
 
 #ifndef SKEWSEARCH_CORE_INDEX_IO_H_
 #define SKEWSEARCH_CORE_INDEX_IO_H_
@@ -63,10 +64,10 @@ bool ReadVector(std::istream& in, std::vector<T>* values) {
 }
 
 /// Cheap content fingerprint: shape plus a sampled item hash. Rejects
-/// re-supplying a different dataset on Load without a full scan.
+/// re-supplying a different dataset on restore without a full scan.
 uint64_t Fingerprint(const Dataset& data);
 
-/// \brief The parameter block every index format embeds after its magic.
+/// \brief The parameter block every index format embeds.
 struct ParamHeader {
   SkewedIndexOptions options;      ///< mode/hash_engine/verify_measure set
   double verify_threshold = 0.0;

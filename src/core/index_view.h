@@ -30,13 +30,14 @@ struct IndexBuildStats;  // core/skewed_index.h
 ///
 /// For a DynamicIndex the values describe the *current* edition and may
 /// change across rebuilds; for the static flavours they are fixed after
-/// Build()/Load(). Before a successful Build()/Load() the accessors
-/// return graceful defaults (false / 0 / 0.0 / an empty family).
+/// Build()/MapFrozen(). Before a successful build or restore the
+/// accessors return graceful defaults (false / 0 / 0.0 / an empty
+/// family).
 class IndexView {
  public:
   virtual ~IndexView() = default;
 
-  /// True after a successful Build()/Load().
+  /// True after a successful build or restore.
   virtual bool built() const = 0;
 
   /// Number of filter repetitions actually used.

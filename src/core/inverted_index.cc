@@ -141,6 +141,13 @@ Status FilterTable::AdoptFrozenView(std::span<const uint64_t> keys,
   if (offsets.front() != 0 || offsets.back() != ids.size()) {
     return Status::InvalidArgument("frozen view offsets do not bracket ids");
   }
+  // With the brackets above, monotone offsets keep every posting list
+  // inside ids, whatever the (unchecksummed) interior bytes were.
+  for (size_t k = 1; k < offsets.size(); ++k) {
+    if (offsets[k] < offsets[k - 1]) {
+      return Status::InvalidArgument("frozen view offsets not monotone");
+    }
+  }
   FilterTable fresh;
   fresh.keys_view_ = keys;
   fresh.offsets_view_ = offsets;

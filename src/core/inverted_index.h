@@ -16,7 +16,8 @@
 // frozen CSR arrays (AdoptFrozenView) — the accessor seam the mmap'd
 // SKF1 shard files (core/frozen_shard.h) serve queries through. A view
 // builds only its directory on the heap, in one sequential pass over
-// the key array, and then looks up exactly like an owning table.
+// the key array, checks its offsets' order in another, and then looks
+// up exactly like an owning table.
 
 #ifndef SKEWSEARCH_CORE_INVERTED_INDEX_H_
 #define SKEWSEARCH_CORE_INVERTED_INDEX_H_
@@ -65,11 +66,14 @@ class FilterTable {
   /// Replaces this table with a zero-copy view over externally owned
   /// frozen CSR arrays — typically sections of an mmap'd SKF1 file. The
   /// backing memory must stay valid and unchanged for the view's whole
-  /// lifetime (copies included). Validates only the O(1) bracketing
-  /// invariants (offsets.size() == keys.size() + 1, offsets[0] == 0,
-  /// offsets.back() == ids.size()); key sortedness and id ranges are the
-  /// caller's contract (the frozen-shard mapper checks them via its
-  /// metadata checksum and, on request, a full payload verification).
+  /// lifetime (copies included). Validates the bracketing invariants
+  /// (offsets.size() == keys.size() + 1, offsets[0] == 0,
+  /// offsets.back() == ids.size()) and, in one pass, that offsets are
+  /// monotone, so every posting list lies inside \p ids; key sortedness
+  /// and id ranges are the caller's contract (the frozen-shard mapper
+  /// checks them via its metadata checksum and, on request, a full
+  /// payload verification; the probe kernel refuses ids beyond the
+  /// dataset).
   /// The directory is built from \p keys in one pass whose entries stay
   /// monotone and <= keys.size() for any bytes, so Lookup stays in
   /// bounds even on unsorted keys.
@@ -135,8 +139,8 @@ class FilterTable {
   /// Approximate heap usage in bytes.
   size_t MemoryBytes() const;
 
-  /// Serializes the frozen table (keys, offsets, ids) to \p out.
-  /// Only valid after Freeze().
+  /// Serializes the frozen table (keys, offsets, ids) to \p out, as the
+  /// SKD2 dynamic-index format embeds it. Only valid after Freeze().
   Status WriteTo(std::ostream* out) const;
 
   /// Replaces this table with one read from \p in (already frozen).

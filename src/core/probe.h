@@ -55,6 +55,8 @@ namespace probe {
 
 /// The static flavours' sources: K frozen tables (heap or mapped) over
 /// one dataset under one family. SkewedPathIndex is the K = 1 case.
+/// A mapped table's ids are checksummed only under verify_payload
+/// (core/frozen_shard.h), so Admit refuses an id beyond the dataset.
 struct TableSources {
   static constexpr bool kHasDelta = false;
 
@@ -67,6 +69,7 @@ struct TableSources {
   const FilterFamily& family(size_t) const { return *filter_family; }
   const FilterTable& table(size_t s) const { return tables[s]; }
   bool Admit(size_t, VectorId id, std::span<const ItemId>* items) const {
+    if (id >= data->size()) return false;
     *items = data->Get(id);
     return true;
   }
@@ -186,31 +189,18 @@ void ScanSource(const Sources& sources, size_t s,
   }
 }
 
-/// Runs scan(s) for every source: over \p pool when given and there is
-/// more than one source, else serially on the caller.
-template <typename Scan>
-void ForEachSource(size_t num, ThreadPool* pool, const Scan& scan) {
-  if (pool != nullptr && num > 1) {
-    pool->ParallelFor(num, /*grain=*/1, [&](size_t begin, size_t end, int) {
-      for (size_t s = begin; s < end; ++s) scan(s);
-    });
-  } else {
-    for (size_t s = 0; s < num; ++s) scan(s);
-  }
-}
-
 }  // namespace internal
 
 /// The early-exit driver: repetition by repetition, the first passing
-/// candidate in scan order, or nullopt. Each repetition's sources scan
-/// serially, or over \p pool when given (must not be called from one of
-/// its workers). \p scratch may be null (a fresh one); \p stats may be
-/// null. Records query.*, span.query.{filters,verify} and the trace.
+/// candidate in scan order, or nullopt. Each repetition scans the
+/// sources serially on the caller. \p scratch may be null (a fresh
+/// one); \p stats may be null. Records query.*,
+/// span.query.{filters,verify} and the trace.
 template <typename Sources>
 std::optional<Match> FirstMatch(const Sources& sources,
                                 std::span<const ItemId> query,
-                                Measure measure, ThreadPool* pool,
-                                ProbeScratch* scratch, QueryStats* stats) {
+                                Measure measure, ProbeScratch* scratch,
+                                QueryStats* stats) {
   Timer timer;
   ProbeScratch local_scratch;
   if (scratch == nullptr) scratch = &local_scratch;
@@ -229,19 +219,19 @@ std::optional<Match> FirstMatch(const Sources& sources,
       // Everything between phase_mark and here was filter generation;
       // the rest of the repetition is lookup + verification.
       filter_ns += timer.ElapsedNanos() - phase_mark;
-      internal::ForEachSource(num, pool, [&](size_t s) {
+      for (size_t s = 0; s < num; ++s) {
         ProbeScratch::Slot& slot = scratch->slots[s];
         const ProbeScratch::KeyGroup& group = scratch->groups[slot.group];
         slot.hit = Hit{};
         slot.stats = QueryStats{};
-        if (rep >= group.family->repetitions()) return;
+        if (rep >= group.family->repetitions()) continue;
         internal::ScanSource(sources, s, group.keys, query, measure,
                              group.family->verify_threshold(), &slot.seen,
                              &slot.stats, [&](const Hit& hit) {
                                slot.hit = hit;
                                return true;
                              });
-      });
+      }
       const Hit* best = nullptr;
       uint64_t rep_candidates = 0;
       for (const ProbeScratch::Slot& slot : scratch->slots) {
@@ -280,7 +270,7 @@ std::vector<std::optional<Match>> BatchFirstMatch(
       queries, pool, stats, batch_stats,
       [&](size_t i, ProbeScratch* scratch, QueryStats* query_stats) {
         return FirstMatch(sources, queries.Get(static_cast<VectorId>(i)),
-                          measure, nullptr, scratch, query_stats);
+                          measure, scratch, query_stats);
       },
       [](const ProbeScratch& scratch, BatchQueryStats* agg) {
         AddPathGenStats(&agg->path_gen, scratch.path_gen);
@@ -289,13 +279,11 @@ std::vector<std::optional<Match>> BatchFirstMatch(
 
 /// The exhaustive scan behind every QueryAll: all distinct admitted
 /// candidates reaching \p threshold over every repetition, sorted by
-/// descending similarity (ties by id). Sources scan over \p pool when
-/// given. Records span.query.all.
+/// descending similarity (ties by id). Records span.query.all.
 template <typename Sources>
 std::vector<Match> AllMatches(const Sources& sources,
                               std::span<const ItemId> query, Measure measure,
-                              double threshold, ThreadPool* pool,
-                              QueryStats* stats) {
+                              double threshold, QueryStats* stats) {
   SKEWSEARCH_SPAN("query.all");
   Timer timer;
   QueryStats local;
@@ -305,22 +293,15 @@ std::vector<Match> AllMatches(const Sources& sources,
     ProbeScratch scratch;
     scratch.Begin(sources);
     local.filters = scratch.GenerateAll(query);
-    std::vector<std::vector<Match>> matches(num);
-    internal::ForEachSource(num, pool, [&](size_t s) {
+    for (size_t s = 0; s < num; ++s) {
       ProbeScratch::Slot& slot = scratch.slots[s];
       internal::ScanSource(sources, s, scratch.groups[slot.group].keys, query,
-                           measure, threshold, &slot.seen, &slot.stats,
+                           measure, threshold, &slot.seen, &local,
                            [&](const Hit& hit) {
-                             matches[s].push_back({hit.id, hit.similarity});
+                             out.push_back({hit.id, hit.similarity});
                              return false;
                            });
-    });
-    for (size_t s = 0; s < num; ++s) {
-      const ProbeScratch::Slot& slot = scratch.slots[s];
-      local.candidates += slot.stats.candidates;
-      local.verifications += slot.stats.verifications;
       local.distinct_candidates += slot.seen.size();
-      out.insert(out.end(), matches[s].begin(), matches[s].end());
     }
   }
   SortBySimilarity(&out);

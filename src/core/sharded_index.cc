@@ -1,8 +1,6 @@
 #include "core/sharded_index.h"
 
 #include <algorithm>
-#include <cstring>
-#include <fstream>
 
 #include "core/batch.h"
 #include "core/frozen_shard.h"
@@ -16,7 +14,6 @@ namespace skewsearch {
 
 namespace {
 
-constexpr char kShardedMagic[4] = {'S', 'K', 'S', '1'};
 constexpr int kMaxShards = 1 << 12;
 
 }  // namespace
@@ -167,21 +164,15 @@ probe::TableSources ShardedIndex::Sources() const {
 
 std::optional<Match> ShardedIndex::Query(std::span<const ItemId> query,
                                          QueryStats* stats) const {
-  return Query(query, nullptr, stats);
-}
-
-std::optional<Match> ShardedIndex::Query(std::span<const ItemId> query,
-                                         ThreadPool* pool,
-                                         QueryStats* stats) const {
   return probe::FirstMatch(Sources(), query, options_.index.verify_measure,
-                           pool, nullptr, stats);
+                           nullptr, stats);
 }
 
 std::vector<Match> ShardedIndex::QueryAll(std::span<const ItemId> query,
-                                          double threshold, QueryStats* stats,
-                                          ThreadPool* pool) const {
+                                          double threshold,
+                                          QueryStats* stats) const {
   return probe::AllMatches(Sources(), query, options_.index.verify_measure,
-                           threshold, pool, stats);
+                           threshold, stats);
 }
 
 std::vector<std::optional<Match>> ShardedIndex::BatchQuery(
@@ -218,104 +209,6 @@ size_t ShardedIndex::MemoryBytes() const {
   return total;
 }
 
-Status ShardedIndex::Save(const std::string& path) const {
-  namespace io = index_io_internal;
-  if (!built()) {
-    return Status::InvalidArgument("cannot save an unbuilt index");
-  }
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    return Status::IOError("cannot open '" + path + "' for writing");
-  }
-  out.write(kShardedMagic, sizeof(kShardedMagic));
-  uint32_t num_shards = static_cast<uint32_t>(shards_.size());
-  bool ok = io::WriteParams(out, options_.index, family_.verify_threshold(),
-                            build_stats_) &&
-            io::WritePod(out, io::Fingerprint(*data_)) &&
-            io::WritePod(out, num_shards);
-  if (!ok) return Status::IOError("header write to '" + path + "' failed");
-  for (const FilterTable& shard : shards_) {
-    SKEWSEARCH_RETURN_NOT_OK(shard.WriteTo(&out));
-  }
-  out.flush();
-  if (!out) return Status::IOError("flush of '" + path + "' failed");
-  return Status::OK();
-}
-
-Status ShardedIndex::Load(const std::string& path, const Dataset* data,
-                          const ProductDistribution* dist) {
-  namespace io = index_io_internal;
-  if (data == nullptr || dist == nullptr) {
-    return Status::InvalidArgument("data and dist must be non-null");
-  }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::IOError("cannot open '" + path + "' for reading");
-  }
-  char magic[4];
-  in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kShardedMagic, sizeof(magic)) != 0) {
-    return Status::InvalidArgument(
-        "'" + path + "' is not a skewsearch sharded index file");
-  }
-  io::ParamHeader header;
-  Status params = io::ReadParams(in, &header);
-  if (!params.ok()) {
-    return Status::InvalidArgument(params.message() + " in '" + path + "'");
-  }
-  uint64_t fingerprint = 0;
-  uint32_t num_shards = 0;
-  if (!io::ReadPod(in, &fingerprint) || !io::ReadPod(in, &num_shards)) {
-    return Status::InvalidArgument("truncated index header in '" + path +
-                                   "'");
-  }
-  if (fingerprint != io::Fingerprint(*data)) {
-    return Status::InvalidArgument(
-        "dataset does not match the one this index was built from");
-  }
-  if (data->dimension() > dist->dimension()) {
-    return Status::InvalidArgument(
-        "dataset items exceed the distribution's universe");
-  }
-  if (num_shards < 1 || num_shards > kMaxShards) {
-    return Status::InvalidArgument("corrupt shard count in '" + path + "'");
-  }
-  Result<FilterFamily> family = FilterFamily::Restore(
-      dist, header.options, data->size(), header.stats.repetitions,
-      header.stats.delta_used, header.verify_threshold);
-  if (!family.ok()) {
-    return Status::InvalidArgument("corrupt index header in '" + path +
-                                   "': " + family.status().message());
-  }
-
-  std::vector<FilterTable> shards(num_shards);
-  for (uint32_t s = 0; s < num_shards; ++s) {
-    SKEWSEARCH_RETURN_NOT_OK(shards[s].ReadFrom(&in));
-    // Every posting must reference the dataset *and* live in the shard
-    // its id hashes to; anything else is corruption.
-    for (size_t k = 0; k < shards[s].num_keys(); ++k) {
-      for (VectorId id : shards[s].postings_at(k)) {
-        if (id >= data->size() ||
-            ShardOf(id, static_cast<int>(num_shards)) !=
-                static_cast<int>(s)) {
-          return Status::InvalidArgument(
-              "shard table references out-of-place vector ids");
-        }
-      }
-    }
-  }
-
-  data_ = data;
-  dist_ = dist;
-  options_.index = header.options;
-  options_.num_shards = static_cast<int>(num_shards);
-  family_ = std::move(family).value();
-  build_stats_ = header.stats;
-  shards_ = std::move(shards);
-  frozen_.reset();
-  return Status::OK();
-}
-
 Status ShardedIndex::Freeze(const std::string& path) const {
   namespace io = index_io_internal;
   if (!built()) {
@@ -337,59 +230,19 @@ Status ShardedIndex::MapFrozen(const std::string& path, const Dataset* data,
 Status ShardedIndex::MapFrozen(const std::string& path, const Dataset* data,
                                const ProductDistribution* dist,
                                const FrozenMapOptions& options) {
-  namespace io = index_io_internal;
-  if (data == nullptr || dist == nullptr) {
-    return Status::InvalidArgument("data and dist must be non-null");
-  }
-  Result<std::shared_ptr<const FrozenShardFile>> mapped =
-      FrozenShardFile::Map(path, options);
-  if (!mapped.ok()) return mapped.status();
-  std::shared_ptr<const FrozenShardFile> file = std::move(mapped).value();
-  if (file->fingerprint() != io::Fingerprint(*data)) {
-    return Status::InvalidArgument(
-        "dataset does not match the one this index was built from");
-  }
-  if (data->dimension() > dist->dimension()) {
-    return Status::InvalidArgument(
-        "dataset items exceed the distribution's universe");
-  }
-  const int num_shards = file->num_shards();
-  // The checksummed per-shard metadata bounds every posting id, so the
-  // beyond-the-dataset rejection needs no O(index) scan.
-  for (int s = 0; s < num_shards; ++s) {
-    const FrozenShardFile::ShardInfo& info = file->shard_info(s);
-    if (info.ids_count > 0 && info.max_id >= data->size()) {
-      return Status::InvalidArgument(
-          "shard table references vector ids beyond the dataset");
-    }
-  }
-
-  const index_io_internal::ParamHeader& header = file->params();
-  Result<FilterFamily> family = FilterFamily::Restore(
-      dist, header.options, data->size(), header.stats.repetitions,
-      header.stats.delta_used, header.verify_threshold);
-  if (!family.ok()) {
-    return Status::InvalidArgument("corrupt index header in '" + path +
-                                   "': " + family.status().message());
-  }
-
-  std::vector<FilterTable> views(static_cast<size_t>(num_shards));
-  for (int s = 0; s < num_shards; ++s) {
-    Result<FilterTable> view = file->MakeShardView(s);
-    if (!view.ok()) return view.status();
-    views[static_cast<size_t>(s)] = std::move(view).value();
-  }
+  Result<FrozenIndexParts> parts =
+      RestoreFrozenIndex(path, data, dist, options);
+  if (!parts.ok()) return parts.status();
+  const int num_shards = static_cast<int>(parts->shards.size());
   if (options.verify_payload) {
-    // Mirror Load's placement validation: every posting must live in the
-    // shard its id hashes to. O(index), gated like the payload checksums.
+    // Every posting must live in the shard its id hashes to. O(index),
+    // gated like the payload checksums.
     for (int s = 0; s < num_shards; ++s) {
-      const FilterTable& table = views[static_cast<size_t>(s)];
-      for (size_t k = 0; k < table.num_keys(); ++k) {
-        for (VectorId id : table.postings_at(k)) {
-          if (ShardOf(id, num_shards) != s) {
-            return Status::InvalidArgument(
-                "shard table references out-of-place vector ids");
-          }
+      const FilterTable& table = parts->shards[static_cast<size_t>(s)];
+      for (VectorId id : table.ids_span()) {
+        if (ShardOf(id, num_shards) != s) {
+          return Status::InvalidArgument(
+              "shard table references out-of-place vector ids");
         }
       }
     }
@@ -397,12 +250,12 @@ Status ShardedIndex::MapFrozen(const std::string& path, const Dataset* data,
 
   data_ = data;
   dist_ = dist;
-  options_.index = header.options;
+  options_.index = parts->family.options();
   options_.num_shards = num_shards;
-  family_ = std::move(family).value();
-  build_stats_ = header.stats;
-  shards_ = std::move(views);
-  frozen_ = std::move(file);
+  family_ = std::move(parts->family);
+  build_stats_ = parts->stats;
+  shards_ = std::move(parts->shards);
+  frozen_ = std::move(parts->file);
   return Status::OK();
 }
 

@@ -6,13 +6,12 @@
 // stored. A sharded build therefore runs the *same* family as a
 // monolithic build and only splits the posting lists: shard s holds the
 // (filter key, id) pairs of the vectors with ShardOf(id) == s. A query
-// computes its filter keys once per repetition, fans the table lookups
-// out over the shards (optionally on a ThreadPool), and merges by the
-// scan coordinate (repetition, key position, id) — which makes the
-// result *byte-identical* to an unsharded SkewedPathIndex for every
-// shard count and thread count. Per-query work counters differ (shards
-// other than the winning one scan to the end of the repetition), but
-// results never do.
+// computes its filter keys once per repetition, looks them up in every
+// shard, and merges by the scan coordinate (repetition, key position,
+// id) — which makes the result *byte-identical* to an unsharded
+// SkewedPathIndex for every shard count and thread count. Per-query
+// work counters differ (shards other than the winning one scan to the
+// end of the repetition), but results never do.
 //
 // This is the skew-aware analogue of LSF-Join's partitioning insight:
 // the repetition structure is naturally shard-friendly because each
@@ -59,7 +58,7 @@ class ShardedIndex : public IndexView {
   ShardedIndex() = default;
 
   /// Stable hash partition of vector ids (same for every build with the
-  /// same K, so Save/Load and incremental layers agree on placement).
+  /// same K, so frozen files and incremental layers agree on placement).
   static int ShardOf(VectorId id, int num_shards);
 
   /// Builds the K per-shard posting tables over \p data.
@@ -71,17 +70,11 @@ class ShardedIndex : public IndexView {
   std::optional<Match> Query(std::span<const ItemId> query,
                              QueryStats* stats = nullptr) const;
 
-  /// Same result, but each repetition's shard scans fan out over \p pool
-  /// (null = serial). Must not be called from a worker of \p pool.
-  std::optional<Match> Query(std::span<const ItemId> query, ThreadPool* pool,
-                             QueryStats* stats = nullptr) const;
-
   /// All distinct matches with similarity >= \p threshold, sorted by
   /// descending similarity (ties by id) — identical to the unsharded
-  /// QueryAll. Shard scans fan out over \p pool when given.
+  /// QueryAll.
   std::vector<Match> QueryAll(std::span<const ItemId> query, double threshold,
-                              QueryStats* stats = nullptr,
-                              ThreadPool* pool = nullptr) const;
+                              QueryStats* stats = nullptr) const;
 
   /// Answers every vector of \p queries as a Query(), parallelized over
   /// the batch (each query scans its shards serially, so worker counts
@@ -97,34 +90,30 @@ class ShardedIndex : public IndexView {
       std::vector<QueryStats>* stats = nullptr,
       BatchQueryStats* batch_stats = nullptr) const;
 
-  /// Persists the sharded index (parameters + K posting tables + dataset
-  /// fingerprint). Only valid after Build().
-  Status Save(const std::string& path) const;
-
-  /// Restores an index saved with Save(); the caller re-supplies the same
-  /// dataset and distribution (fingerprint-checked).
-  Status Load(const std::string& path, const Dataset* data,
-              const ProductDistribution* dist);
-
-  /// Persists the built index as a K-shard SKF1 frozen file
-  /// (core/frozen_shard.h). Only valid after Build()/Load().
+  /// Persists the built index (parameters, the K posting tables and the
+  /// dataset fingerprint) as a K-shard SKF1 frozen file
+  /// (core/frozen_shard.h). Only valid after Build()/MapFrozen().
   Status Freeze(const std::string& path) const;
 
-  /// Restores an index from a file written by Freeze(), serving every
-  /// shard table zero-copy out of the mapped bytes: start time is
+  /// Restores an index from a file written by Freeze(); the caller
+  /// re-supplies the same dataset and distribution (fingerprint-checked)
+  /// and the shard count comes from the file. By default every shard
+  /// table is served zero-copy out of the mapped bytes: start time is
   /// metadata validation plus one sequential pass over each shard's key
-  /// array (the lookup directory), and queries are byte-identical to a
-  /// heap Load().
-  /// The shard count comes from the file. When the map options request
-  /// payload verification, shard placement is re-validated like Load
-  /// does (O(index)); the default trusts the checksummed metadata.
+  /// and offset arrays (the lookup directory and the offsets' order
+  /// check), and queries are byte-identical to the
+  /// built index. With FrozenMapOptions::verify_payload the payload
+  /// checksums and every posting's shard placement are checked too
+  /// (O(index)); `{.force_heap = true, .verify_payload = true}` is the
+  /// fully checked heap restore.
   Status MapFrozen(const std::string& path, const Dataset* data,
                    const ProductDistribution* dist);
   Status MapFrozen(const std::string& path, const Dataset* data,
                    const ProductDistribution* dist,
                    const FrozenMapOptions& options);
 
-  /// The mapped frozen file backing this index, or null when heap-built.
+  /// The frozen file backing this index, or null when built in this
+  /// process.
   const FrozenShardFile* frozen_file() const { return frozen_.get(); }
 
   /// The filter keys the index probes for \p query (diagnostics/tests).
@@ -168,7 +157,7 @@ class ShardedIndex : public IndexView {
   const ProductDistribution* dist_ = nullptr;
   ShardedIndexOptions options_;
   FilterFamily family_;
-  std::vector<FilterTable> shards_;  // zero-copy views when mapped
+  std::vector<FilterTable> shards_;  // zero-copy views when restored
   IndexBuildStats build_stats_;
   std::shared_ptr<const FrozenShardFile> frozen_;  // keeps views alive
 };

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
-#include <fstream>
 
 #include "core/batch.h"
 #include "core/frozen_shard.h"
@@ -235,14 +233,14 @@ probe::TableSources SkewedPathIndex::Sources() const {
 std::optional<Match> SkewedPathIndex::Query(std::span<const ItemId> query,
                                             QueryStats* stats) const {
   return probe::FirstMatch(Sources(), query, options_.verify_measure,
-                           nullptr, nullptr, stats);
+                           nullptr, stats);
 }
 
 std::vector<Match> SkewedPathIndex::QueryAll(std::span<const ItemId> query,
                                              double threshold,
                                              QueryStats* stats) const {
   return probe::AllMatches(Sources(), query, options_.verify_measure,
-                           threshold, nullptr, stats);
+                           threshold, stats);
 }
 
 std::vector<Match> SkewedPathIndex::QueryTopK(std::span<const ItemId> query,
@@ -318,98 +316,6 @@ Result<double> SkewedPathIndex::PredictQueryExponent(
   return AdversarialQueryRho(probs, options_.b1);
 }
 
-namespace {
-
-constexpr char kIndexMagic[4] = {'S', 'K', 'I', '1'};
-
-}  // namespace
-
-Status SkewedPathIndex::Save(const std::string& path) const {
-  namespace io = index_io_internal;
-  if (!family_.valid()) {
-    return Status::InvalidArgument("cannot save an unbuilt index");
-  }
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    return Status::IOError("cannot open '" + path + "' for writing");
-  }
-  out.write(kIndexMagic, sizeof(kIndexMagic));
-  bool ok = io::WriteParams(out, options_, family_.verify_threshold(),
-                            build_stats_) &&
-            io::WritePod(out, io::Fingerprint(*data_));
-  if (!ok) return Status::IOError("header write to '" + path + "' failed");
-  SKEWSEARCH_RETURN_NOT_OK(table_.WriteTo(&out));
-  out.flush();
-  if (!out) return Status::IOError("flush of '" + path + "' failed");
-  return Status::OK();
-}
-
-Status SkewedPathIndex::Load(const std::string& path, const Dataset* data,
-                             const ProductDistribution* dist) {
-  namespace io = index_io_internal;
-  if (data == nullptr || dist == nullptr) {
-    return Status::InvalidArgument("data and dist must be non-null");
-  }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::IOError("cannot open '" + path + "' for reading");
-  }
-  char magic[4];
-  in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kIndexMagic, sizeof(magic)) != 0) {
-    return Status::InvalidArgument("'" + path +
-                                   "' is not a skewsearch index file");
-  }
-  io::ParamHeader header;
-  Status params = io::ReadParams(in, &header);
-  if (!params.ok()) {
-    return Status::InvalidArgument(params.message() + " in '" + path + "'");
-  }
-  uint64_t fingerprint = 0;
-  if (!io::ReadPod(in, &fingerprint)) {
-    return Status::InvalidArgument("truncated index header in '" + path +
-                                   "'");
-  }
-  if (fingerprint != io::Fingerprint(*data)) {
-    return Status::InvalidArgument(
-        "dataset does not match the one this index was built from");
-  }
-  if (data->dimension() > dist->dimension()) {
-    return Status::InvalidArgument(
-        "dataset items exceed the distribution's universe");
-  }
-
-  Result<FilterFamily> family = FilterFamily::Restore(
-      dist, header.options, data->size(), header.stats.repetitions,
-      header.stats.delta_used, header.verify_threshold);
-  if (!family.ok()) {
-    return Status::InvalidArgument("corrupt index header in '" + path +
-                                   "': " + family.status().message());
-  }
-
-  FilterTable table;
-  SKEWSEARCH_RETURN_NOT_OK(table.ReadFrom(&in));
-  // Posting ids must reference the supplied dataset; a corrupt table that
-  // passed the structural checks would otherwise crash the first query.
-  for (size_t k = 0; k < table.num_keys(); ++k) {
-    for (VectorId id : table.postings_at(k)) {
-      if (id >= data->size()) {
-        return Status::InvalidArgument(
-            "filter table references vector ids beyond the dataset");
-      }
-    }
-  }
-
-  data_ = data;
-  dist_ = dist;
-  options_ = header.options;
-  family_ = std::move(family).value();
-  build_stats_ = header.stats;
-  table_ = std::move(table);
-  frozen_.reset();
-  return Status::OK();
-}
-
 Status SkewedPathIndex::Freeze(const std::string& path) const {
   namespace io = index_io_internal;
   if (!family_.valid()) {
@@ -431,53 +337,21 @@ Status SkewedPathIndex::MapFrozen(const std::string& path,
                                   const Dataset* data,
                                   const ProductDistribution* dist,
                                   const FrozenMapOptions& options) {
-  namespace io = index_io_internal;
-  if (data == nullptr || dist == nullptr) {
-    return Status::InvalidArgument("data and dist must be non-null");
-  }
-  Result<std::shared_ptr<const FrozenShardFile>> mapped =
-      FrozenShardFile::Map(path, options);
-  if (!mapped.ok()) return mapped.status();
-  std::shared_ptr<const FrozenShardFile> file = std::move(mapped).value();
-  if (file->num_shards() != 1) {
+  Result<FrozenIndexParts> parts =
+      RestoreFrozenIndex(path, data, dist, options);
+  if (!parts.ok()) return parts.status();
+  if (parts->shards.size() != 1) {
     return Status::InvalidArgument(
-        "'" + path + "' holds " + std::to_string(file->num_shards()) +
+        "'" + path + "' holds " + std::to_string(parts->shards.size()) +
         " shards; expected an unsharded frozen index");
   }
-  if (file->fingerprint() != io::Fingerprint(*data)) {
-    return Status::InvalidArgument(
-        "dataset does not match the one this index was built from");
-  }
-  if (data->dimension() > dist->dimension()) {
-    return Status::InvalidArgument(
-        "dataset items exceed the distribution's universe");
-  }
-  // The checksummed metadata bounds every posting id, so rejecting ids
-  // beyond the dataset needs no O(index) scan (unlike Load).
-  const FrozenShardFile::ShardInfo& info = file->shard_info(0);
-  if (info.ids_count > 0 && info.max_id >= data->size()) {
-    return Status::InvalidArgument(
-        "filter table references vector ids beyond the dataset");
-  }
-
-  const index_io_internal::ParamHeader& header = file->params();
-  Result<FilterFamily> family = FilterFamily::Restore(
-      dist, header.options, data->size(), header.stats.repetitions,
-      header.stats.delta_used, header.verify_threshold);
-  if (!family.ok()) {
-    return Status::InvalidArgument("corrupt index header in '" + path +
-                                   "': " + family.status().message());
-  }
-  Result<FilterTable> view = file->MakeShardView(0);
-  if (!view.ok()) return view.status();
-
   data_ = data;
   dist_ = dist;
-  options_ = header.options;
-  family_ = std::move(family).value();
-  build_stats_ = header.stats;
-  table_ = std::move(view).value();
-  frozen_ = std::move(file);
+  options_ = parts->family.options();
+  family_ = std::move(parts->family);
+  build_stats_ = parts->stats;
+  table_ = std::move(parts->shards[0]);
+  frozen_ = std::move(parts->file);
   return Status::OK();
 }
 

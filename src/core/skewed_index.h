@@ -143,7 +143,7 @@ class FilterFamily {
                                      const SkewedIndexOptions& options,
                                      size_t n);
 
-  /// Rebuilds a family from persisted parameters (the Load path):
+  /// Rebuilds a family from persisted parameters (the MapFrozen path):
   /// validation and engine construction as in Create, but repetitions /
   /// delta / verify threshold are taken as stored instead of re-derived.
   static Result<FilterFamily> Restore(const ProductDistribution* dist,
@@ -287,39 +287,31 @@ class SkewedPathIndex : public IndexView {
   /// The frozen posting lists (diagnostics/tests).
   const FilterTable& filter_table() const { return table_; }
 
-  /// Persists the built index (configuration + inverted filter table +
-  /// a fingerprint of the dataset) so it can be reloaded without paying
-  /// the build again. Only valid after Build().
-  Status Save(const std::string& path) const;
-
-  /// Restores an index saved with Save(). The caller re-supplies the
-  /// *same* dataset and distribution (both are borrowed, not serialized);
-  /// a fingerprint check rejects mismatched data. Queries on the loaded
-  /// index behave identically to the original (the hash functions are
-  /// reconstructed deterministically from the stored seed).
-  Status Load(const std::string& path, const Dataset* data,
-              const ProductDistribution* dist);
-
-  /// Persists the built index as a single-shard SKF1 frozen file
-  /// (core/frozen_shard.h) — the layout MapFrozen() serves zero-copy.
-  /// Only valid after Build()/Load().
+  /// Persists the built index (configuration, the inverted filter table
+  /// and a fingerprint of the dataset) as a single-shard SKF1 frozen
+  /// file (core/frozen_shard.h), so it can be restored without paying
+  /// the build again. Only valid after Build()/MapFrozen().
   Status Freeze(const std::string& path) const;
 
-  /// Restores an index from a file written by Freeze(), serving the
-  /// posting table zero-copy out of the mapped bytes: start time is
-  /// metadata validation plus one sequential pass over the key array
-  /// (the lookup directory) and queries are byte-identical to a heap
-  /// Load() of the same index. The caller
-  /// re-supplies the same dataset and distribution (fingerprint-checked,
-  /// as in Load).
+  /// Restores an index from a file written by Freeze(). The caller
+  /// re-supplies the *same* dataset and distribution (both are borrowed,
+  /// not serialized); a fingerprint check rejects mismatched data, and
+  /// the hash functions are reconstructed deterministically from the
+  /// stored seed, so queries are byte-identical to the built index. By
+  /// default the posting table is served zero-copy out of the mapped
+  /// bytes: start time is metadata validation plus one sequential pass
+  /// over the key and offset arrays (the lookup directory and the
+  /// offsets' order check). `{.force_heap = true, .verify_payload =
+  /// true}` reads the file onto the heap and checks every posting before
+  /// the first query.
   Status MapFrozen(const std::string& path, const Dataset* data,
                    const ProductDistribution* dist);
   Status MapFrozen(const std::string& path, const Dataset* data,
                    const ProductDistribution* dist,
                    const FrozenMapOptions& options);
 
-  /// The mapped frozen file backing this index, or null when heap-built
-  /// (diagnostics: `mapped()`, `file_bytes()`).
+  /// The frozen file backing this index, or null when built in this
+  /// process (diagnostics: `mapped()`, `file_bytes()`).
   const FrozenShardFile* frozen_file() const { return frozen_.get(); }
 
  private:
@@ -330,7 +322,7 @@ class SkewedPathIndex : public IndexView {
   const ProductDistribution* dist_ = nullptr;
   SkewedIndexOptions options_;
   FilterFamily family_;
-  FilterTable table_;  // a zero-copy view into frozen_ when mapped
+  FilterTable table_;  // a zero-copy view into frozen_ when restored
   IndexBuildStats build_stats_;
   std::shared_ptr<const FrozenShardFile> frozen_;  // keeps views alive
 };

@@ -556,7 +556,7 @@ Result<std::vector<JoinPair>> DistributedJoin::JoinImpl(
   // worker died mid-join: close it out, re-derive every slice it held
   // (BuildAssignment is a pure function of the deterministic plan and
   // the build-side data — nothing about the dead worker is needed),
-  // re-ship them to the lowest-id surviving version >= 2 session, and
+  // re-ship them to the lowest-id surviving session, and
   // replay each transferred queue's unanswered suffix. The merge's
   // global dedup + canonical sort make replayed and merged-table
   // responses invisible in the output, so a recovered join stays
@@ -591,7 +591,7 @@ Result<std::vector<JoinPair>> DistributedJoin::JoinImpl(
     while (!orphaned.empty()) {
       size_t survivor = num_sessions;
       for (size_t s = 0; s < num_sessions; ++s) {
-        if (session_alive_[s] && sessions_[s].negotiated_version() >= 2) {
+        if (session_alive_[s]) {
           survivor = s;
           break;
         }
@@ -599,7 +599,7 @@ Result<std::vector<JoinPair>> DistributedJoin::JoinImpl(
       if (survivor == num_sessions) {
         return Status::IOError(
             "distributed join: " + std::to_string(orphaned.size()) +
-            " worker(s) lost and no surviving version >= 2 session can "
+            " worker(s) lost and no surviving session can "
             "take their slices (first failure: " +
             first_failure.ToString() + ")");
       }

@@ -199,7 +199,7 @@ class DistributedJoin {
   /// byte-identical across transports. If a session dies mid-join the
   /// coordinator re-derives the lost worker's slices (BuildAssignment
   /// is a pure function of the deterministic plan), re-ships them to a
-  /// surviving version >= 2 session, replays the unacknowledged
+  /// surviving session, replays the unacknowledged
   /// batches, and still completes with byte-identical output.
   Status AttachRemote(
       std::vector<std::unique_ptr<FrameConnection>> connections);
@@ -209,10 +209,10 @@ class DistributedJoin {
   /// ShardAssignment frame naming the shard it serves — the workers
   /// must have pre-mapped the byte-identical SKF1 file (`join-worker
   /// --shard-file`) — and cross-checks the acked counters against this
-  /// coordinator's own mapping. Requires BuildFromFrozen and version
-  /// >= 3 workers. A mapped shard is not re-shippable state, so there
-  /// is no mid-join recovery in this mode: a died session fails the
-  /// join cleanly instead of degrading onto survivors.
+  /// coordinator's own mapping. Requires BuildFromFrozen. A mapped
+  /// shard is not re-shippable state, so there is no mid-join recovery
+  /// in this mode: a died session fails the join cleanly instead of
+  /// degrading onto survivors.
   Status AttachRemoteFrozen(
       std::vector<std::unique_ptr<FrameConnection>> connections);
 

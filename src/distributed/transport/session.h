@@ -5,9 +5,8 @@
 // encodings, in docs/WIRE_PROTOCOL.md):
 //
 //   1. Handshake — the coordinator sends Hello (version range, worker
-//      id, worker count); the worker answers HelloAck with the highest
-//      version both sides support, or an Error frame when the ranges
-//      are disjoint.
+//      id, worker count); the worker answers HelloAck when the range
+//      contains wire::kVersion, or an Error frame when it does not.
 //   2. Assignment — the coordinator ships the worker's posting slices
 //      and the build-side vectors those slices reference; the worker
 //      reconstructs its frozen table and answers AssignmentAck with
@@ -16,16 +15,16 @@
 //      silently dropping pairs.
 //   3. Probe loop — ProbeBatch frames answered by ResponseBatch frames
 //      (responses in request order, one per request), until Shutdown
-//      ends the session in an orderly way. Under protocol version >= 2
-//      the probe stream is pipelined: the coordinator may have several
+//      ends the session in an orderly way. The probe stream is
+//      pipelined: the coordinator may have several
 //      batches in flight (SendProbeBatch / ReceiveResponses below),
 //      each stamped with the session epoch and a sequence number the
 //      worker echoes, and the coordinator may interpose a Reassignment
 //      frame (when no batch is in flight) that merges a lost worker's
 //      slices into this worker's table and bumps the epoch.
 //
-// Under version >= 2 a StatsRequest frame may additionally arrive in
-// place of the Assignment (a scrape-only session — what `join-stats`
+// A StatsRequest frame may additionally arrive in place of the
+// Assignment (a scrape-only session — what `join-stats`
 // opens via ScrapeWorkerStats below) or interleaved with probe batches;
 // the worker answers with a StatsResponse carrying its metrics-registry
 // snapshot and the session continues.
@@ -70,13 +69,12 @@ class RemoteWorkerSession {
       std::unique_ptr<FrameConnection> connection, uint32_t worker_id,
       uint32_t num_workers, const wire::WorkerAssignment& assignment);
 
-  /// The frozen-shard variant of Start (protocol version >= 3): instead
-  /// of shipping posting slices, sends a ShardAssignment naming the
-  /// shard of the worker's pre-mapped SKF1 file this session serves,
-  /// and cross-checks the worker's AssignmentAck counters against
-  /// \p expected — the keys/entries the coordinator's own mapping of
-  /// the same file records for that shard, plus the dataset size. Fails
-  /// with NotSupported when the worker cannot speak version 3.
+  /// The frozen-shard variant of Start: instead of shipping posting
+  /// slices, sends a ShardAssignment naming the shard of the worker's
+  /// pre-mapped SKF1 file this session serves, and cross-checks the
+  /// worker's AssignmentAck counters against \p expected — the
+  /// keys/entries the coordinator's own mapping of the same file
+  /// records for that shard, plus the dataset size.
   static Result<RemoteWorkerSession> StartFrozen(
       std::unique_ptr<FrameConnection> connection, uint32_t worker_id,
       uint32_t num_workers, const wire::ShardAssignmentFrame& shard,
@@ -98,23 +96,21 @@ class RemoteWorkerSession {
 
   /// Pipelined receive half: blocks for the response of the *oldest*
   /// in-flight batch (responses arrive in send order) and validates the
-  /// count, per-response probe echo and — under version >= 2 — the
-  /// epoch/sequence echo.
+  /// count, per-response probe echo and the epoch/sequence echo.
   Result<std::vector<ProbeResponse>> ReceiveResponses();
 
   /// ProbeBatches sent whose responses have not been received yet.
   size_t in_flight() const { return in_flight_.size(); }
 
   /// Scrapes the worker's metrics registry: sends a StatsRequest and
-  /// blocks for the StatsResponse. Requires a version >= 2 session and
-  /// no batch in flight (the response would be mistaken for a batch
-  /// answer otherwise).
+  /// blocks for the StatsResponse. Requires no batch in flight (the
+  /// response would be mistaken for a batch answer otherwise).
   Result<wire::StatsFrame> QueryStats();
 
   /// Re-ships a lost worker's slices to this (surviving) worker:
   /// sends a Reassignment frame carrying \p assignment under the next
   /// epoch, waits for the ReassignmentAck and cross-checks its
-  /// counters. Requires a version >= 2 session and no batch in flight.
+  /// counters. Requires no batch in flight.
   /// After success every later batch is stamped with the new epoch.
   Status Reassign(const wire::WorkerAssignment& assignment);
 
@@ -127,18 +123,21 @@ class RemoteWorkerSession {
 
   uint32_t worker_id() const { return worker_id_; }
 
-  /// The protocol version the handshake negotiated.
-  uint8_t negotiated_version() const { return version_; }
-
   /// The current session epoch (0 until the first Reassign succeeds).
   uint32_t epoch() const { return epoch_; }
 
  private:
   RemoteWorkerSession(std::unique_ptr<FrameConnection> connection,
-                      uint32_t worker_id, uint8_t version)
-      : connection_(std::move(connection)),
-        worker_id_(worker_id),
-        version_(version) {}
+                      uint32_t worker_id)
+      : connection_(std::move(connection)), worker_id_(worker_id) {}
+
+  /// Phases 1 and 2 shared by Start and StartFrozen: handshake, send
+  /// \p assignment, and require an AssignmentAck equal to \p expected
+  /// (an Internal error naming \p mismatch otherwise).
+  static Result<RemoteWorkerSession> Attach(
+      std::unique_ptr<FrameConnection> connection, uint32_t worker_id,
+      uint32_t num_workers, const wire::Frame& assignment,
+      const wire::AssignmentAckFrame& expected, const char* mismatch);
 
   /// What ReceiveResponses needs to validate one outstanding batch.
   struct InFlightBatch {
@@ -148,7 +147,6 @@ class RemoteWorkerSession {
 
   std::unique_ptr<FrameConnection> connection_;
   uint32_t worker_id_ = 0;
-  uint8_t version_ = 0;
   uint32_t epoch_ = 0;
   uint64_t next_seq_ = 0;
   std::deque<InFlightBatch> in_flight_;
@@ -182,7 +180,7 @@ struct ServeOptions {
   obs::MetricsRegistry* metrics = nullptr;
 
   /// \name Frozen-shard serving (`join-worker --shard-file`).
-  /// When both are set, a version >= 3 session may open with a
+  /// When both are set, a session may open with a
   /// ShardAssignment frame instead of an Assignment: the worker then
   /// serves the named shard zero-copy out of `frozen_file` (an SKF1
   /// mapping shared read-only by every session) and verifies candidates
@@ -197,8 +195,8 @@ struct ServeOptions {
 
 /// Serves one coordinator session on \p connection: accepts the
 /// handshake, reconstructs the assigned posting slices and shipped
-/// vectors into a local JoinWorker, then answers probe batches — and,
-/// under version >= 2, applies Reassignment frames by merging the
+/// vectors into a local JoinWorker, then answers probe batches — and
+/// applies Reassignment frames by merging the
 /// re-shipped slices into its live table — until a Shutdown frame
 /// arrives (returns OK) or the session fails (returns the error after
 /// sending a best-effort Error frame). This is the per-connection body
@@ -208,8 +206,7 @@ Status ServeConnection(FrameConnection* connection,
                        const ServeOptions& options = {});
 
 /// Opens a scrape-only session on \p connection and returns the
-/// worker's metrics snapshot: Hello handshake (requiring a negotiated
-/// version >= 2 — a v1-only worker fails with NotSupported), one
+/// worker's metrics snapshot: Hello handshake, one
 /// StatsRequest/StatsResponse exchange, then Shutdown. This is what
 /// the `join-stats` CLI command runs against a live `join-worker`; the
 /// worker serves it as just another session, concurrently with any

@@ -91,7 +91,7 @@ class TcpConnection : public FrameConnection {
     header.reserve(wire::kFrameHeaderBytes);
     wire::AppendFrameHeader(frame.type,
                             static_cast<uint32_t>(frame.payload.size()),
-                            frame_version(), &header);
+                            &header);
     // One gathered write for header + payload; partial writes resume at
     // the right offset within whichever buffer the kernel stopped in.
     iovec iov[2];
@@ -170,7 +170,6 @@ class TcpConnection : public FrameConnection {
       return header_ok;
     }
     frame->type = decoded.type;
-    frame->version = decoded.version;
     frame->payload.resize(decoded.payload_length);
     if (decoded.payload_length > 0) {
       consumed_any = false;

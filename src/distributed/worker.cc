@@ -43,8 +43,15 @@ struct SliceSource {
     if (request->exclude_left_and_below && id <= request->left) return false;
     // Reconstructed (remote) workers store only the shipped vectors,
     // densely; the session layer guarantees every table id is mapped.
-    const VectorId stored =
-        dense_positions == nullptr ? id : dense_positions->find(id)->second;
+    // Otherwise ids index the build-side dataset directly, and a mapped
+    // shard's ids are checksummed only under verify_payload, so an id
+    // beyond the dataset is refused.
+    VectorId stored = id;
+    if (dense_positions != nullptr) {
+      stored = dense_positions->find(id)->second;
+    } else if (id >= build_data->size()) {
+      return false;
+    }
     *items = build_data->Get(stored);
     return true;
   }

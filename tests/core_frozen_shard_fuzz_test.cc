@@ -11,6 +11,8 @@
 //   (c) be benign (padding bytes are deliberately unchecksummed) — in
 //       which case the mapped index must answer queries byte-identically
 //       to the pristine file.
+// Payload the default Map serves unchecked (key and id sections) must
+// keep lookups and queries in bounds.
 
 #include "core/frozen_shard.h"
 
@@ -399,6 +401,108 @@ TEST_F(FrozenShardFuzzTest, KeySectionFlipsKeepLookupsInBounds) {
   }
   // The metadata-only Map cannot see key bytes: the views were served.
   EXPECT_EQ(mapped_mutants, static_cast<int>(num_shards) * 40);
+}
+
+TEST_F(FrozenShardFuzzTest, IdSectionFlipsKeepQueriesInBounds) {
+  // Posting ids are covered only by the opt-in payload checksum, so the
+  // default Map serves a corrupted ids section. Queries must then stay
+  // in bounds: no id beyond the dataset is ever verified or answered.
+  uint64_t table_offset = 0;
+  uint32_t num_shards = 0;
+  std::memcpy(&table_offset, pristine_.data() + 48, 8);
+  std::memcpy(&num_shards, pristine_.data() + 24, 4);
+  Rng rng(0x1d5);
+  int mapped_mutants = 0;
+  for (uint32_t s = 0; s < num_shards; ++s) {
+    uint64_t ids_offset = 0, ids_count = 0;
+    std::memcpy(&ids_offset, pristine_.data() + table_offset + s * 64 + 32,
+                8);
+    std::memcpy(&ids_count, pristine_.data() + table_offset + s * 64 + 40,
+                8);
+    ASSERT_GT(ids_count, 0u);
+    for (int trial = 0; trial < 12; ++trial) {
+      SCOPED_TRACE("shard " + std::to_string(s) + " trial " +
+                   std::to_string(trial));
+      std::string mutant = pristine_;
+      if (trial == 0) {
+        // Every id far beyond the dataset.
+        const uint32_t wild = 0x7ffffff0u;
+        for (uint64_t i = 0; i < ids_count; ++i) {
+          std::memcpy(mutant.data() + ids_offset + i * 4, &wild, 4);
+        }
+      } else {
+        const int flips = 1 + static_cast<int>(rng.NextBounded(16));
+        for (int f = 0; f < flips; ++f) {
+          const size_t pos = static_cast<size_t>(
+              ids_offset + rng.NextBounded(ids_count * 4));
+          mutant[pos] = static_cast<char>(
+              static_cast<uint8_t>(mutant[pos]) ^ (1 + rng.NextBounded(255)));
+        }
+      }
+      WriteMutant(mutant);
+      ShardedIndex mapped;
+      ASSERT_TRUE(mapped.MapFrozen(mutant_path_, &data_, &dist_).ok());
+      ++mapped_mutants;
+      for (VectorId id = 0; id < data_.size(); ++id) {
+        auto hit = mapped.Query(data_.Get(id));
+        if (hit) {
+          ASSERT_LT(hit->id, data_.size()) << "query " << id;
+        }
+        for (const Match& m : mapped.QueryAll(data_.Get(id), 0.0)) {
+          ASSERT_LT(m.id, data_.size()) << "query " << id;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mapped_mutants, static_cast<int>(num_shards) * 12);
+}
+
+TEST_F(FrozenShardFuzzTest, OffsetSectionFlipsKeepQueriesInBounds) {
+  // The interior of each offsets section is covered only by the opt-in
+  // payload checksum. The default Map must reject offsets that would
+  // send a posting list outside the shard's ids, or serve queries that
+  // stay in bounds.
+  uint64_t table_offset = 0;
+  uint32_t num_shards = 0;
+  std::memcpy(&table_offset, pristine_.data() + 48, 8);
+  std::memcpy(&num_shards, pristine_.data() + 24, 4);
+  Rng rng(0x0ff5);
+  for (uint32_t s = 0; s < num_shards; ++s) {
+    uint64_t offsets_offset = 0, offsets_count = 0;
+    std::memcpy(&offsets_offset,
+                pristine_.data() + table_offset + s * 64 + 16, 8);
+    std::memcpy(&offsets_count,
+                pristine_.data() + table_offset + s * 64 + 24, 8);
+    ASSERT_GT(offsets_count, 2u);
+    for (int trial = 0; trial < 12; ++trial) {
+      SCOPED_TRACE("shard " + std::to_string(s) + " trial " +
+                   std::to_string(trial));
+      std::string mutant = pristine_;
+      if (trial == 0) {
+        // Every interior offset far beyond the ids; the brackets hold.
+        const uint32_t wild = 0x7ffffff0u;
+        for (uint64_t i = 1; i + 1 < offsets_count; ++i) {
+          std::memcpy(mutant.data() + offsets_offset + i * 4, &wild, 4);
+        }
+      } else {
+        const int flips = 1 + static_cast<int>(rng.NextBounded(16));
+        for (int f = 0; f < flips; ++f) {
+          const size_t pos = static_cast<size_t>(
+              offsets_offset + rng.NextBounded(offsets_count * 4));
+          mutant[pos] = static_cast<char>(
+              static_cast<uint8_t>(mutant[pos]) ^ (1 + rng.NextBounded(255)));
+        }
+      }
+      WriteMutant(mutant);
+      ShardedIndex mapped;
+      if (!mapped.MapFrozen(mutant_path_, &data_, &dist_).ok()) continue;
+      for (VectorId id = 0; id < data_.size(); ++id) {
+        for (const Match& m : mapped.QueryAll(data_.Get(id), 0.0)) {
+          ASSERT_LT(m.id, data_.size()) << "query " << id;
+        }
+      }
+    }
+  }
 }
 
 TEST_F(FrozenShardFuzzTest, EmptyAndTinyFiles) {

@@ -1,8 +1,9 @@
 // Differential identity suite for the SKF1 frozen-shard path: a mapped
 // index (MapFrozen) must answer every query byte-identically to the heap
-// index it was frozen from (and to a heap Load of the same build),
-// across dataset shapes, seeds, sharded and unsharded — plus committed
-// save -> freeze -> map round-trip goldens that pin the format bytes.
+// index it was frozen from (and to a force_heap restore of the same
+// file), across dataset shapes, seeds, sharded and unsharded — plus
+// committed build -> freeze -> map round-trip goldens that pin the
+// format bytes.
 // Regenerate goldens with SKEWSEARCH_REGEN_GOLDEN=1 after a deliberate
 // format change (and update docs/FILE_FORMATS.md accordingly).
 
@@ -21,6 +22,7 @@
 #include "core/sharded_index.h"
 #include "core/skewed_index.h"
 #include "data/generators.h"
+#include "data/io.h"
 #include "data/mann_profiles.h"
 #include "test_paths.h"
 #include "util/random.h"
@@ -70,6 +72,11 @@ SkewedIndexOptions Options(uint64_t seed) {
   options.repetitions = 6;
   options.seed = seed * 1000003 + 17;
   return options;
+}
+
+/// The fully checked heap restore of a frozen file.
+FrozenMapOptions HeapRestore() {
+  return {.force_heap = true, .verify_payload = true};
 }
 
 /// Exhaustive self-join sweep through QueryAll: the canonical pair list
@@ -149,20 +156,19 @@ TEST_F(FrozenShardTest, MapMatchesHeapLoadAcrossShapesAndSeeds) {
 
       SkewedPathIndex built;
       ASSERT_TRUE(built.Build(&data, &shape.dist, Options(seed)).ok());
-      std::string saved = Track(Tmp(".skidx"));
       std::string frozen = Track(Tmp(".skf"));
-      ASSERT_TRUE(built.Save(saved).ok());
       ASSERT_TRUE(built.Freeze(frozen).ok());
 
       SkewedPathIndex heap;
-      ASSERT_TRUE(heap.Load(saved, &data, &shape.dist).ok());
+      ASSERT_TRUE(
+          heap.MapFrozen(frozen, &data, &shape.dist, HeapRestore()).ok());
       SkewedPathIndex mapped;
       ASSERT_TRUE(mapped.MapFrozen(frozen, &data, &shape.dist).ok());
       ASSERT_TRUE(mapped.built());
       ASSERT_NE(mapped.frozen_file(), nullptr);
       EXPECT_TRUE(mapped.filter_table().is_view());
       // The view holds no posting heap of its own.
-      EXPECT_LT(mapped.MemoryBytes(), heap.MemoryBytes() / 4 + 1024);
+      EXPECT_LT(mapped.MemoryBytes(), built.MemoryBytes() / 4 + 1024);
 
       ExpectIdenticalQueries(data, heap, mapped);
       ExpectIdenticalQueries(data, built, mapped);
@@ -182,13 +188,11 @@ TEST_F(FrozenShardTest, ShardedMapMatchesHeapLoad) {
     options.num_shards = 3;
     ShardedIndex built;
     ASSERT_TRUE(built.Build(&data, &dist, options).ok());
-    std::string saved = Track(Tmp(".skidx"));
     std::string frozen = Track(Tmp(".skf"));
-    ASSERT_TRUE(built.Save(saved).ok());
     ASSERT_TRUE(built.Freeze(frozen).ok());
 
     ShardedIndex heap;
-    ASSERT_TRUE(heap.Load(saved, &data, &dist).ok());
+    ASSERT_TRUE(heap.MapFrozen(frozen, &data, &dist, HeapRestore()).ok());
     ShardedIndex mapped;
     ASSERT_TRUE(mapped.MapFrozen(frozen, &data, &dist).ok());
     ASSERT_EQ(mapped.num_shards(), 3);
@@ -269,10 +273,13 @@ TEST_F(FrozenShardTest, ApiErrors) {
   SkewedPathIndex mapped;
   EXPECT_TRUE(mapped.MapFrozen(frozen, &other, &dist).IsInvalidArgument());
 
-  // A heap-format file is not a frozen file.
-  std::string saved = Track(Tmp(".skidx"));
-  ASSERT_TRUE(built.Save(saved).ok());
-  EXPECT_TRUE(mapped.MapFrozen(saved, &data, &dist).IsInvalidArgument());
+  // A binary dataset file is not a frozen file.
+  std::string dataset_file = Track(Tmp(".bin"));
+  ASSERT_TRUE(WriteBinary(data, dataset_file).ok());
+  EXPECT_TRUE(
+      mapped.MapFrozen(dataset_file, &data, &dist).IsInvalidArgument());
+  // ... nor a frozen file a dataset: the two magics differ.
+  EXPECT_FALSE(ReadBinary(frozen).ok());
 
   // A sharded frozen file cannot back an unsharded index (and vice
   // versa the shard count always comes from the file).

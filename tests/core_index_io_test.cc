@@ -1,15 +1,19 @@
-// Save/Load of a built SkewedPathIndex plus the batch-query and
-// parallel-probe APIs.
+// Persisting and restoring a built SkewedPathIndex — Freeze() writes
+// the one static format (SKF1, core/frozen_shard.h) and the fully
+// checked heap restore is MapFrozen with force_heap + verify_payload —
+// plus the batch-query and parallel-probe APIs.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "core/frozen_shard.h"
 #include "core/similarity_join.h"
 #include "core/skewed_index.h"
 #include "data/correlated.h"
@@ -20,10 +24,15 @@
 namespace skewsearch {
 namespace {
 
+/// The restore that reads the file onto the heap and checks every
+/// posting before the first query.
+constexpr FrozenMapOptions kHeapRestore{.force_heap = true,
+                                        .verify_payload = true};
+
 class IndexIoTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = test::TempPath("index_io", this, ".skidx");
+    path_ = test::TempPath("index_io", this, ".skf");
     dist_ = TwoBlockProbabilities(150, 0.25, 8000, 0.005).value();
     Rng rng(11);
     data_ = GenerateDataset(dist_, 250, &rng);
@@ -46,17 +55,19 @@ class IndexIoTest : public ::testing::Test {
 
 TEST_F(IndexIoTest, SaveRequiresBuiltIndex) {
   SkewedPathIndex index;
-  EXPECT_TRUE(index.Save(path_).IsInvalidArgument());
+  EXPECT_TRUE(index.Freeze(path_).IsInvalidArgument());
 }
 
 TEST_F(IndexIoTest, RoundTripPreservesQueries) {
   SkewedPathIndex original;
   ASSERT_TRUE(original.Build(&data_, &dist_, Options()).ok());
-  ASSERT_TRUE(original.Save(path_).ok());
+  ASSERT_TRUE(original.Freeze(path_).ok());
 
   SkewedPathIndex loaded;
-  ASSERT_TRUE(loaded.Load(path_, &data_, &dist_).ok());
+  ASSERT_TRUE(loaded.MapFrozen(path_, &data_, &dist_, kHeapRestore).ok());
   EXPECT_TRUE(loaded.built());
+  ASSERT_NE(loaded.frozen_file(), nullptr);
+  EXPECT_FALSE(loaded.frozen_file()->mapped());
   EXPECT_EQ(loaded.repetitions(), original.repetitions());
   EXPECT_EQ(loaded.build_stats().total_filters,
             original.build_stats().total_filters);
@@ -85,12 +96,12 @@ TEST_F(IndexIoTest, RoundTripPreservesQueries) {
 TEST_F(IndexIoTest, LoadRejectsDifferentDataset) {
   SkewedPathIndex original;
   ASSERT_TRUE(original.Build(&data_, &dist_, Options()).ok());
-  ASSERT_TRUE(original.Save(path_).ok());
+  ASSERT_TRUE(original.Freeze(path_).ok());
 
   Rng rng(13);
   Dataset other = GenerateDataset(dist_, 250, &rng);
   SkewedPathIndex loaded;
-  Status s = loaded.Load(path_, &other, &dist_);
+  Status s = loaded.MapFrozen(path_, &other, &dist_, kHeapRestore);
   EXPECT_TRUE(s.IsInvalidArgument());
   EXPECT_NE(s.message().find("does not match"), std::string::npos);
 }
@@ -100,13 +111,15 @@ TEST_F(IndexIoTest, LoadRejectsGarbageFile) {
   out << "this is not an index";
   out.close();
   SkewedPathIndex loaded;
-  EXPECT_TRUE(loaded.Load(path_, &data_, &dist_).IsInvalidArgument());
+  EXPECT_TRUE(
+      loaded.MapFrozen(path_, &data_, &dist_, kHeapRestore)
+          .IsInvalidArgument());
 }
 
 TEST_F(IndexIoTest, LoadRejectsTruncatedFile) {
   SkewedPathIndex original;
   ASSERT_TRUE(original.Build(&data_, &dist_, Options()).ok());
-  ASSERT_TRUE(original.Save(path_).ok());
+  ASSERT_TRUE(original.Freeze(path_).ok());
   std::ifstream in(path_, std::ios::binary);
   std::string contents((std::istreambuf_iterator<char>(in)),
                        std::istreambuf_iterator<char>());
@@ -116,13 +129,15 @@ TEST_F(IndexIoTest, LoadRejectsTruncatedFile) {
             static_cast<std::streamsize>(contents.size() / 2));
   out.close();
   SkewedPathIndex loaded;
-  EXPECT_FALSE(loaded.Load(path_, &data_, &dist_).ok());
+  EXPECT_FALSE(loaded.MapFrozen(path_, &data_, &dist_, kHeapRestore).ok());
 }
 
 TEST_F(IndexIoTest, LoadMissingFileIsIOError) {
   SkewedPathIndex loaded;
-  EXPECT_TRUE(
-      loaded.Load("/nonexistent/index.skidx", &data_, &dist_).IsIOError());
+  EXPECT_TRUE(loaded
+                  .MapFrozen("/nonexistent/index.skf", &data_, &dist_,
+                             kHeapRestore)
+                  .IsIOError());
 }
 
 // ---- Negative paths: corruption must produce clean errors, not crashes.
@@ -132,7 +147,7 @@ class IndexIoCorruptionTest : public IndexIoTest {
   std::string SaveValidIndex() {
     SkewedPathIndex original;
     EXPECT_TRUE(original.Build(&data_, &dist_, Options()).ok());
-    EXPECT_TRUE(original.Save(path_).ok());
+    EXPECT_TRUE(original.Freeze(path_).ok());
     std::ifstream in(path_, std::ios::binary);
     return std::string((std::istreambuf_iterator<char>(in)),
                        std::istreambuf_iterator<char>());
@@ -146,12 +161,46 @@ class IndexIoCorruptionTest : public IndexIoTest {
 
   Status TryLoad() {
     SkewedPathIndex loaded;
-    return loaded.Load(path_, &data_, &dist_);
+    return loaded.MapFrozen(path_, &data_, &dist_, kHeapRestore);
   }
 
-  // Byte offsets into the fixed-width header (magic is bytes 0..3).
-  static constexpr size_t kModeOffset = 4;
-  static constexpr size_t kRepetitionsOffset = 51;
+  /// Recomputes the single shard's recorded max id and payload checksum
+  /// and the metadata checksum of an edited SKF1 image, so the edit
+  /// reaches the validation behind the checksums (docs/FILE_FORMATS.md
+  /// gives the offsets).
+  static void Reseal(std::string* bytes) {
+    uint64_t param_size = 0, table_offset = 0;
+    std::memcpy(&param_size, bytes->data() + 40, 8);
+    std::memcpy(&table_offset, bytes->data() + 48, 8);
+    char* entry = bytes->data() + table_offset;
+    uint64_t f[6];  // keys/offsets/ids: offset, count
+    std::memcpy(f, entry, sizeof(f));
+    const char* ids = bytes->data() + f[4];
+    uint64_t max_id = 0;
+    for (uint64_t i = 0; i < f[5]; ++i) {
+      uint32_t id = 0;
+      std::memcpy(&id, ids + i * 4, 4);
+      max_id = std::max<uint64_t>(max_id, id);
+    }
+    frozen_internal::Checksum64 payload;
+    payload.Update(bytes->data() + f[0], f[1] * 8);
+    payload.Update(bytes->data() + f[2], f[3] * 4);
+    payload.Update(ids, f[5] * 4);
+    const uint64_t payload_digest = payload.digest();
+    std::memcpy(entry + 48, &max_id, 8);
+    std::memcpy(entry + 56, &payload_digest, 8);
+    frozen_internal::Checksum64 meta;
+    meta.Update(bytes->data(), 56);
+    meta.Update(bytes->data() + 64, param_size);
+    meta.Update(entry, 64);
+    const uint64_t meta_digest = meta.digest();
+    std::memcpy(bytes->data() + 56, &meta_digest, 8);
+  }
+
+  // Byte offsets into the file: the parameter block starts right after
+  // the 64-byte header, with the mode byte first.
+  static constexpr size_t kModeOffset = 64;
+  static constexpr size_t kRepetitionsOffset = 64 + 47;
 };
 
 TEST_F(IndexIoCorruptionTest, RejectsCorruptedMagicVersion) {
@@ -162,7 +211,7 @@ TEST_F(IndexIoCorruptionTest, RejectsCorruptedMagicVersion) {
     WriteFile(mutated);
     Status s = TryLoad();
     EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
-    EXPECT_NE(s.message().find("not a skewsearch index"), std::string::npos);
+    EXPECT_NE(s.message().find("not a frozen shard file"), std::string::npos);
   }
 }
 
@@ -172,7 +221,7 @@ TEST_F(IndexIoCorruptionTest, RejectsWrongDatasetSize) {
     Rng rng(404 + other_n);
     Dataset other = GenerateDataset(dist_, other_n, &rng);
     SkewedPathIndex loaded;
-    Status s = loaded.Load(path_, &other, &dist_);
+    Status s = loaded.MapFrozen(path_, &other, &dist_, kHeapRestore);
     EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
     EXPECT_NE(s.message().find("does not match"), std::string::npos);
     EXPECT_FALSE(loaded.built());
@@ -185,8 +234,13 @@ TEST_F(IndexIoCorruptionTest, RejectsBadEnumFields) {
     std::string mutated = contents;
     mutated[offset] = 17;  // no IndexMode/HashEngine/Measure has this value
     WriteFile(mutated);
+    EXPECT_TRUE(TryLoad().IsInvalidArgument()) << "offset " << offset;
+    Reseal(&mutated);  // past the checksum, to the enum range check
+    WriteFile(mutated);
     Status s = TryLoad();
     EXPECT_TRUE(s.IsInvalidArgument()) << "offset " << offset;
+    EXPECT_EQ(s.message().find("checksum"), std::string::npos)
+        << s.ToString();
   }
 }
 
@@ -195,22 +249,29 @@ TEST_F(IndexIoCorruptionTest, RejectsInsaneRepetitionCounts) {
   for (int32_t bad : {0, -5, 1 << 24}) {
     std::string mutated = contents;
     std::memcpy(&mutated[kRepetitionsOffset], &bad, sizeof(bad));
+    Reseal(&mutated);
     WriteFile(mutated);
     Status s = TryLoad();
     EXPECT_TRUE(s.IsInvalidArgument()) << "repetitions=" << bad << ": "
                                        << s.ToString();
+    EXPECT_NE(s.message().find("corrupt index header"), std::string::npos)
+        << s.ToString();
   }
 }
 
 TEST_F(IndexIoCorruptionTest, RejectsOutOfRangePostingIds) {
   std::string contents = SaveValidIndex();
-  // The posting-id array is the last vector in the file; smash its final
-  // entry to an id far beyond the dataset. Structural checks can't see
-  // this — only the id-range validation can.
-  ASSERT_GE(contents.size(), sizeof(uint32_t));
+  // Smash the last posting id to one far beyond the dataset and reseal,
+  // so the checksums agree: only the id-range validation can object.
+  uint64_t table_offset = 0, ids_offset = 0, ids_count = 0;
+  std::memcpy(&table_offset, contents.data() + 48, 8);
+  std::memcpy(&ids_offset, contents.data() + table_offset + 32, 8);
+  std::memcpy(&ids_count, contents.data() + table_offset + 40, 8);
+  ASSERT_GT(ids_count, 0u);
   uint32_t bad_id = 0xfffffff0u;
-  std::memcpy(&contents[contents.size() - sizeof(bad_id)], &bad_id,
+  std::memcpy(&contents[ids_offset + (ids_count - 1) * 4], &bad_id,
               sizeof(bad_id));
+  Reseal(&contents);
   WriteFile(contents);
   Status s = TryLoad();
   EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
@@ -241,9 +302,10 @@ TEST_F(IndexIoTest, AdversarialRoundTrip) {
   options.repetitions = 6;
   SkewedPathIndex original;
   ASSERT_TRUE(original.Build(&data_, &dist_, options).ok());
-  ASSERT_TRUE(original.Save(path_).ok());
+  ASSERT_TRUE(original.Freeze(path_).ok());
   SkewedPathIndex loaded;
-  ASSERT_TRUE(loaded.Load(path_, &data_, &dist_).ok());
+  ASSERT_TRUE(loaded.MapFrozen(path_, &data_, &dist_, kHeapRestore).ok());
+  EXPECT_EQ(loaded.options().mode, IndexMode::kAdversarial);
   auto hit = loaded.Query(data_.Get(0));
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->id, 0u);

@@ -1,7 +1,7 @@
 // ShardedIndex: serial equivalence with the unsharded SkewedPathIndex
 // across shard counts and thread counts (the core contract: sharding is
 // a layout decision, never a semantics decision), partition stability,
-// and Save/Load.
+// and the Freeze/MapFrozen round trip.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "core/frozen_shard.h"
 #include "core/sharded_index.h"
 #include "core/similarity_join.h"
 #include "core/skewed_index.h"
@@ -18,7 +19,6 @@
 #include "data/generators.h"
 #include "test_paths.h"
 #include "util/random.h"
-#include "util/thread_pool.h"
 
 namespace skewsearch {
 namespace {
@@ -82,8 +82,7 @@ void ExpectSameMatches(const std::vector<Match>& a,
   }
 }
 
-// The acceptance contract: byte-identical results for K in {1, 2, 7},
-// with and without a thread pool fanning out the shard scans.
+// The acceptance contract: byte-identical results for K in {1, 2, 7}.
 TEST_F(ShardedIndexTest, SerialEquivalenceAcrossShardAndThreadCounts) {
   SkewedPathIndex reference;
   ASSERT_TRUE(reference.Build(&data_, &dist_, IndexOptions()).ok());
@@ -99,7 +98,6 @@ TEST_F(ShardedIndexTest, SerialEquivalenceAcrossShardAndThreadCounts) {
     EXPECT_EQ(sharded.build_stats().total_filters,
               reference.build_stats().total_filters);
 
-    ThreadPool pool(3);
     for (size_t i = 0; i < queries_.size(); ++i) {
       auto query = queries_.Get(static_cast<VectorId>(i));
       std::string ctx = "K=" + std::to_string(num_shards) + " query " +
@@ -109,12 +107,8 @@ TEST_F(ShardedIndexTest, SerialEquivalenceAcrossShardAndThreadCounts) {
                 reference.ComputeFilterKeys(query))
           << ctx;
       ExpectSameMatch(sharded.Query(query), reference.Query(query), ctx);
-      ExpectSameMatch(sharded.Query(query, &pool), reference.Query(query),
-                      ctx + " (pooled)");
       ExpectSameMatches(sharded.QueryAll(query, 0.0),
                         reference.QueryAll(query, 0.0), ctx);
-      ExpectSameMatches(sharded.QueryAll(query, 0.0, nullptr, &pool),
-                        reference.QueryAll(query, 0.0), ctx + " (pooled)");
     }
   }
 }
@@ -219,9 +213,14 @@ class ShardedIndexIoTest : public ShardedIndexTest {
  protected:
   void SetUp() override {
     ShardedIndexTest::SetUp();
-    path_ = test::TempPath("sharded_io", this, ".skidx");
+    path_ = test::TempPath("sharded_io", this, ".skf");
   }
   void TearDown() override { std::remove(path_.c_str()); }
+
+  /// The fully checked heap restore: payload checksums and shard
+  /// placement are verified before the first query.
+  static constexpr FrozenMapOptions kHeapRestore{.force_heap = true,
+                                                 .verify_payload = true};
 
   std::string path_;
 };
@@ -229,14 +228,17 @@ class ShardedIndexIoTest : public ShardedIndexTest {
 TEST_F(ShardedIndexIoTest, SaveLoadRoundTrip) {
   ShardedIndex original;
   ASSERT_TRUE(original.Build(&data_, &dist_, ShardedOptions(5)).ok());
-  ASSERT_TRUE(original.Save(path_).ok());
+  ASSERT_TRUE(original.Freeze(path_).ok());
 
   ShardedIndex loaded;
-  ASSERT_TRUE(loaded.Load(path_, &data_, &dist_).ok());
+  ASSERT_TRUE(loaded.MapFrozen(path_, &data_, &dist_, kHeapRestore).ok());
   EXPECT_TRUE(loaded.built());
   EXPECT_EQ(loaded.num_shards(), 5);
   EXPECT_EQ(loaded.repetitions(), original.repetitions());
   EXPECT_DOUBLE_EQ(loaded.verify_threshold(), original.verify_threshold());
+  for (int s = 0; s < 5; ++s) {
+    EXPECT_EQ(loaded.shard_entries(s), original.shard_entries(s));
+  }
   for (size_t i = 0; i < queries_.size(); ++i) {
     auto query = queries_.Get(static_cast<VectorId>(i));
     ExpectSameMatch(loaded.Query(query), original.Query(query),
@@ -250,11 +252,12 @@ TEST_F(ShardedIndexIoTest, SaveLoadRoundTrip) {
 TEST_F(ShardedIndexIoTest, LoadRejectsDifferentDataset) {
   ShardedIndex original;
   ASSERT_TRUE(original.Build(&data_, &dist_, ShardedOptions(3)).ok());
-  ASSERT_TRUE(original.Save(path_).ok());
+  ASSERT_TRUE(original.Freeze(path_).ok());
   Rng rng(77);
   Dataset other = GenerateDataset(dist_, 300, &rng);
   ShardedIndex loaded;
-  EXPECT_TRUE(loaded.Load(path_, &other, &dist_).IsInvalidArgument());
+  EXPECT_TRUE(loaded.MapFrozen(path_, &other, &dist_, kHeapRestore)
+                  .IsInvalidArgument());
 }
 
 TEST_F(ShardedIndexIoTest, LoadRejectsGarbageAndTruncation) {
@@ -263,11 +266,12 @@ TEST_F(ShardedIndexIoTest, LoadRejectsGarbageAndTruncation) {
     out << "not an index";
   }
   ShardedIndex loaded;
-  EXPECT_TRUE(loaded.Load(path_, &data_, &dist_).IsInvalidArgument());
+  EXPECT_TRUE(loaded.MapFrozen(path_, &data_, &dist_, kHeapRestore)
+                  .IsInvalidArgument());
 
   ShardedIndex original;
   ASSERT_TRUE(original.Build(&data_, &dist_, ShardedOptions(3)).ok());
-  ASSERT_TRUE(original.Save(path_).ok());
+  ASSERT_TRUE(original.Freeze(path_).ok());
   std::ifstream in(path_, std::ios::binary);
   std::string contents((std::istreambuf_iterator<char>(in)),
                        std::istreambuf_iterator<char>());
@@ -278,7 +282,7 @@ TEST_F(ShardedIndexIoTest, LoadRejectsGarbageAndTruncation) {
     out.write(contents.data(), static_cast<std::streamsize>(keep));
     out.close();
     ShardedIndex truncated;
-    EXPECT_FALSE(truncated.Load(path_, &data_, &dist_).ok())
+    EXPECT_FALSE(truncated.MapFrozen(path_, &data_, &dist_, kHeapRestore).ok())
         << "prefix of " << keep << " bytes";
   }
 }

@@ -4,14 +4,18 @@
 // single-process join — in-process and over the wire, where workers
 // pre-map the file and the coordinator ships only a tiny
 // ShardAssignment per session. Also covers the failure surface: wrong
-// dataset, wrong file, un-preloaded workers, and the no-recovery
-// contract (a mapped shard is not re-shippable state).
+// dataset, wrong file, un-preloaded workers, corrupt posting ids on a
+// worker's mapping, and the no-recovery contract (a mapped shard is not
+// re-shippable state).
 // The suite name starts with "Distributed" so CI's TSan matrix picks
 // it up.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -342,6 +346,63 @@ TEST(DistributedFrozenTest, FrozenAttachRejectsMismatchedFile) {
   EXPECT_FALSE(join.remote());
   worker.Join();
   EXPECT_FALSE(worker.status.ok());
+}
+
+TEST(DistributedFrozenTest, WorkerServesCorruptIdsInBounds) {
+  // The worker's default map does not checksum the ids section, so a
+  // worker file whose posting ids were overwritten with one far beyond
+  // the dataset still attaches (same metadata as the coordinator's
+  // copy). The join must then run without reading outside the dataset:
+  // every emitted pair references real vectors.
+  ProductDistribution dist;
+  Dataset data = ZipfDataWithDuplicates(51, 160, &dist);
+  const JoinOptions options = AdversarialJoinOptions(0.6, 31);
+  const std::string path = test::TempPath("frozen_ids_a", this, ".skf");
+  const std::string bad_path = test::TempPath("frozen_ids_b", this, ".skf");
+  FileGuard guard{path};
+  FileGuard bad_guard{bad_path};
+  FreezeBuildSide(data, dist, options, /*shards=*/1, path);
+  {
+    std::ifstream in(path, std::ios::binary);
+    std::string bytes((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+    uint64_t table_offset = 0, ids_offset = 0, ids_count = 0;
+    std::memcpy(&table_offset, bytes.data() + 48, 8);
+    std::memcpy(&ids_offset, bytes.data() + table_offset + 32, 8);
+    std::memcpy(&ids_count, bytes.data() + table_offset + 40, 8);
+    const uint32_t wild = 0x7ffffff0u;
+    for (uint64_t i = 0; i < ids_count; ++i) {
+      std::memcpy(bytes.data() + ids_offset + i * 4, &wild, 4);
+    }
+    std::ofstream out(bad_path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+
+  auto worker_file = FrozenShardFile::Map(bad_path);
+  ASSERT_TRUE(worker_file.ok());
+  ServeOptions serve;
+  serve.frozen_file = worker_file->get();
+  serve.frozen_data = &data;
+
+  DistributedJoinOptions distributed;
+  distributed.threshold = options.threshold;
+  DistributedJoin join;
+  ASSERT_TRUE(join.BuildFromFrozen(&data, &dist, path, distributed).ok());
+  HostedWorker worker;
+  std::vector<std::unique_ptr<FrameConnection>> connections;
+  auto [coordinator_end, worker_end] = LoopbackPair();
+  worker.Serve(std::move(worker_end), serve);
+  connections.push_back(std::move(coordinator_end));
+  ASSERT_TRUE(join.AttachRemoteFrozen(std::move(connections)).ok());
+  auto got = join.SelfJoin();
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  for (const JoinPair& pair : *got) {
+    EXPECT_LT(pair.left, data.size());
+    EXPECT_LT(pair.right, data.size());
+  }
+  join.DetachRemote();
+  worker.Join();
+  EXPECT_TRUE(worker.status.ok()) << worker.status.ToString();
 }
 
 TEST(DistributedFrozenTest, FrozenWorkerLossFailsCleanlyWithoutRecovery) {

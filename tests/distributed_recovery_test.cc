@@ -155,7 +155,6 @@ TEST(DistributedRecoveryTest, DuplicateProbeBatchIsIdempotent) {
       RemoteWorkerSession::Start(std::move(client), /*worker_id=*/0,
                                  /*num_workers=*/1, assignment);
   ASSERT_TRUE(session.ok()) << session.status().ToString();
-  EXPECT_EQ(session->negotiated_version(), wire::kVersionMax);
 
   const std::vector<ItemId> items = {2, 3, 4};
   ProbeRequest probe;
@@ -273,7 +272,7 @@ TEST(DistributedPoisonTest, CleanTimeoutBetweenFramesDoesNotPoison) {
   std::vector<uint8_t> bytes;
   wire::AppendFrameHeader(shutdown.type,
                           static_cast<uint32_t>(shutdown.payload.size()),
-                          shutdown.version, &bytes);
+                          &bytes);
   bytes.insert(bytes.end(), shutdown.payload.begin(),
                shutdown.payload.end());
   ASSERT_EQ(::send(fd, bytes.data(), bytes.size(), 0),

@@ -1,8 +1,8 @@
 // Stats-frame tests: StatsResponse encode/decode round trips and
 // malformed-payload rejection, the scrape-only session over loopback
-// and real TCP, a StatsRequest interleaved with probe batches, and the
-// v1-peer rejection path. The suite name starts with "Distributed" so
-// CI's TSan matrix picks it up (scrapes race serving threads).
+// and real TCP, and a StatsRequest interleaved with probe batches. The
+// suite name starts with "Distributed" so CI's TSan matrix picks it up
+// (scrapes race serving threads).
 
 #include <gtest/gtest.h>
 
@@ -212,7 +212,6 @@ TEST(DistributedStatsTest, StatsRequestInterleavesWithProbes) {
   auto session =
       RemoteWorkerSession::Start(std::move(coordinator), 0, 1, assignment);
   ASSERT_TRUE(session.ok()) << session.status().ToString();
-  ASSERT_GE(session->negotiated_version(), 2);
 
   const std::vector<ItemId> probe_items = {3, 5};
   std::vector<ProbeRequest> batch(1);
@@ -243,56 +242,6 @@ TEST(DistributedStatsTest, StatsRequestInterleavesWithProbes) {
   worker.Join();
   EXPECT_TRUE(worker.status.ok()) << worker.status.ToString();
   EXPECT_EQ(worker.stats.batches, 2u);
-}
-
-TEST(DistributedStatsTest, V1SessionRejectsStatsRequest) {
-  // A coordinator that negotiated version 1 must get NotSupported for a
-  // StatsRequest — the frame does not exist under v1.
-  auto [coordinator, worker_end] = LoopbackPair();
-  HostedWorker worker;
-  worker.Serve(std::move(worker_end), ServeOptions{});
-  wire::HelloFrame hello;
-  hello.min_version = 1;
-  hello.max_version = 1;
-  hello.worker_id = 0;
-  hello.num_workers = 1;
-  ASSERT_TRUE(coordinator->Send(wire::EncodeHello(hello)).ok());
-  wire::Frame frame;
-  ASSERT_TRUE(coordinator->Receive(&frame).ok());
-  wire::HelloAckFrame ack;
-  ASSERT_TRUE(wire::DecodeHelloAck(frame, &ack).ok());
-  ASSERT_EQ(ack.version, 1);
-
-  ASSERT_TRUE(coordinator->Send(wire::EncodeStatsRequest()).ok());
-  ASSERT_TRUE(coordinator->Receive(&frame).ok());
-  ASSERT_EQ(frame.type, wire::FrameType::kError);
-  wire::ErrorFrame error;
-  ASSERT_TRUE(wire::DecodeError(frame, &error).ok());
-  EXPECT_TRUE(wire::StatusFromError(error).IsNotSupported());
-  worker.Join();
-  EXPECT_FALSE(worker.status.ok());
-}
-
-TEST(DistributedStatsTest, ScrapeRejectsV1OnlyWorker) {
-  // ScrapeWorkerStats against a peer that acks version 1 must fail with
-  // NotSupported before sending any StatsRequest.
-  auto [scraper, fake_worker] = LoopbackPair();
-  std::thread worker([conn = std::move(fake_worker)]() mutable {
-    wire::Frame frame;
-    ASSERT_TRUE(conn->Receive(&frame).ok());
-    wire::HelloFrame hello;
-    ASSERT_TRUE(wire::DecodeHello(frame, &hello).ok());
-    wire::HelloAckFrame ack;
-    ack.version = 1;  // v1-only worker
-    ack.worker_id = hello.worker_id;
-    ASSERT_TRUE(conn->Send(wire::EncodeHelloAck(ack)).ok());
-    conn->Receive(&frame).ok();  // whatever comes next (close or frame)
-  });
-  auto stats = ScrapeWorkerStats(scraper.get());
-  EXPECT_FALSE(stats.ok());
-  EXPECT_TRUE(stats.status().IsNotSupported())
-      << stats.status().ToString();
-  worker.join();
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Transport-layer tests: loopback and TCP frame delivery, the
-// handshake's version negotiation and reconstruction cross-checks, and
+// handshake's version check and reconstruction cross-checks, and
 // the acceptance-criterion identity — a DistributedJoin served by
 // remote workers (loopback or real sockets) produces output
 // byte-identical to the in-process join, for any probe batch size.
@@ -115,18 +115,6 @@ TEST(DistributedTransportTest, LoopbackCloseUnblocksAndFailsCleanly) {
   closer.join();
 }
 
-TEST(DistributedTransportTest, FrameVersionDefaultsToMinAndIsSettable) {
-  // Pre-negotiation frames (the Hello) must go out under kVersionMin so
-  // the oldest peer can parse the header; the session layer raises the
-  // connection to the negotiated version afterwards. If the default
-  // were kVersionMax, bumping the protocol would break the handshake
-  // against every older worker.
-  auto [a, b] = LoopbackPair();
-  EXPECT_EQ(a->frame_version(), wire::kVersionMin);
-  a->set_frame_version(wire::kVersionMax);
-  EXPECT_EQ(a->frame_version(), wire::kVersionMax);
-}
-
 TEST(DistributedTransportTest, TcpRoundTripOnLocalhost) {
   auto listener = TcpListener::Listen(0);
   ASSERT_TRUE(listener.ok());
@@ -191,23 +179,31 @@ TEST(DistributedTransportTest, ConnectToClosedPortFails) {
 }
 
 TEST(DistributedTransportTest, WorkerRejectsDisjointVersionRange) {
-  auto [coordinator, worker_end] = LoopbackPair();
-  HostedWorker worker;
-  worker.Serve(std::move(worker_end));
-  wire::HelloFrame hello;
-  hello.min_version = wire::kVersionMax + 1;  // future coordinator
-  hello.max_version = wire::kVersionMax + 9;
-  hello.worker_id = 0;
-  hello.num_workers = 1;
-  ASSERT_TRUE(coordinator->Send(wire::EncodeHello(hello)).ok());
-  wire::Frame frame;
-  ASSERT_TRUE(coordinator->Receive(&frame).ok());
-  ASSERT_EQ(frame.type, wire::FrameType::kError);
-  wire::ErrorFrame error;
-  ASSERT_TRUE(wire::DecodeError(frame, &error).ok());
-  EXPECT_TRUE(wire::StatusFromError(error).IsNotSupported());
-  worker.Join();
-  EXPECT_FALSE(worker.status.ok());
+  // A range above kVersion (a future coordinator) or below it (an older
+  // one) is answered with NotSupported before anything else happens.
+  const std::pair<uint8_t, uint8_t> ranges[] = {
+      {wire::kVersion + 1, wire::kVersion + 9}, {1, wire::kVersion - 1}};
+  for (const auto& [min_version, max_version] : ranges) {
+    SCOPED_TRACE(std::to_string(min_version) + ".." +
+                 std::to_string(max_version));
+    auto [coordinator, worker_end] = LoopbackPair();
+    HostedWorker worker;
+    worker.Serve(std::move(worker_end));
+    wire::HelloFrame hello;
+    hello.min_version = min_version;
+    hello.max_version = max_version;
+    hello.worker_id = 0;
+    hello.num_workers = 1;
+    ASSERT_TRUE(coordinator->Send(wire::EncodeHello(hello)).ok());
+    wire::Frame frame;
+    ASSERT_TRUE(coordinator->Receive(&frame).ok());
+    ASSERT_EQ(frame.type, wire::FrameType::kError);
+    wire::ErrorFrame error;
+    ASSERT_TRUE(wire::DecodeError(frame, &error).ok());
+    EXPECT_TRUE(wire::StatusFromError(error).IsNotSupported());
+    worker.Join();
+    EXPECT_FALSE(worker.status.ok());
+  }
 }
 
 TEST(DistributedTransportTest, SessionRejectsInconsistentAssignment) {

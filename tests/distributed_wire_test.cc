@@ -17,10 +17,9 @@ namespace skewsearch {
 namespace wire {
 namespace {
 
-std::vector<uint8_t> HeaderBytes(FrameType type, uint32_t length,
-                                 uint8_t version = kVersionMax) {
+std::vector<uint8_t> HeaderBytes(FrameType type, uint32_t length) {
   std::vector<uint8_t> bytes;
-  AppendFrameHeader(type, length, version, &bytes);
+  AppendFrameHeader(type, length, &bytes);
   return bytes;
 }
 
@@ -31,7 +30,7 @@ TEST(DistributedWireTest, FrameHeaderRoundTrip) {
   ASSERT_TRUE(DecodeFrameHeader(bytes, &header).ok());
   EXPECT_EQ(header.type, FrameType::kProbeBatch);
   EXPECT_EQ(header.payload_length, 12345u);
-  EXPECT_EQ(header.version, kVersionMax);
+  EXPECT_EQ(bytes[4], kVersion);
 }
 
 TEST(DistributedWireTest, FrameHeaderRejectsCorruptMagic) {
@@ -46,13 +45,14 @@ TEST(DistributedWireTest, FrameHeaderRejectsCorruptMagic) {
 }
 
 TEST(DistributedWireTest, FrameHeaderRejectsBadVersion) {
-  FrameHeader header;
-  EXPECT_FALSE(
-      DecodeFrameHeader(HeaderBytes(FrameType::kHello, 0, 0), &header).ok());
-  EXPECT_FALSE(
-      DecodeFrameHeader(HeaderBytes(FrameType::kHello, 0, kVersionMax + 1),
-                        &header)
-          .ok());
+  // Any version byte other than kVersion, older or newer.
+  for (int version : {0, 1, 2, kVersion + 1, 255}) {
+    std::vector<uint8_t> bytes = HeaderBytes(FrameType::kHello, 0);
+    bytes[4] = static_cast<uint8_t>(version);
+    FrameHeader header;
+    EXPECT_FALSE(DecodeFrameHeader(bytes, &header).ok())
+        << "version " << version;
+  }
 }
 
 TEST(DistributedWireTest, FrameHeaderRejectsUnknownTypeAndReservedBits) {
@@ -243,12 +243,14 @@ TEST(DistributedWireTest, OversizedCountsFailBeforeAllocating) {
   // by comparing the count against the remaining payload, so a 30-byte
   // frame can never make it resize a vector to 2^32 elements. (Run
   // under ASan in CI, an actual oversized allocation would abort.)
+  // Probe and response batches open with the u32 epoch + u64 sequence
+  // number.
   {
     PayloadWriter writer;
     writer.F64(0.5);
     writer.U8(0);
     writer.U32(0xFFFFFFFFu);  // posting-key count
-    Frame frame{FrameType::kAssignment, kVersionMin, std::move(writer).Take()};
+    Frame frame{FrameType::kAssignment, std::move(writer).Take()};
     WorkerAssignment decoded;
     EXPECT_FALSE(DecodeAssignment(frame, &decoded).ok());
   }
@@ -259,42 +261,50 @@ TEST(DistributedWireTest, OversizedCountsFailBeforeAllocating) {
     writer.U32(1);            // one key...
     writer.U64(7);            // key
     writer.U32(0xFFFFFFFFu);  // ...claiming 4G posting ids
-    Frame frame{FrameType::kAssignment, kVersionMin, std::move(writer).Take()};
+    Frame frame{FrameType::kAssignment, std::move(writer).Take()};
     WorkerAssignment decoded;
     EXPECT_FALSE(DecodeAssignment(frame, &decoded).ok());
   }
   {
     PayloadWriter writer;
+    writer.U32(0);
+    writer.U64(0);
     writer.U32(0xFFFFFFFFu);  // probe count
-    Frame frame{FrameType::kProbeBatch, kVersionMin, std::move(writer).Take()};
+    Frame frame{FrameType::kProbeBatch, std::move(writer).Take()};
     ProbeBatch decoded;
     EXPECT_FALSE(DecodeProbeBatch(frame, &decoded).ok());
   }
   {
     PayloadWriter writer;
+    writer.U32(0);
+    writer.U64(0);
     writer.U32(1);            // one probe...
     writer.U32(3);            // left
     writer.U8(0);             // flags
     writer.U32(0xFFFFFFFFu);  // ...claiming 4G items
-    Frame frame{FrameType::kProbeBatch, kVersionMin, std::move(writer).Take()};
+    Frame frame{FrameType::kProbeBatch, std::move(writer).Take()};
     ProbeBatch decoded;
     EXPECT_FALSE(DecodeProbeBatch(frame, &decoded).ok());
   }
   {
     PayloadWriter writer;
+    writer.U32(0);
+    writer.U64(0);
     writer.U32(0xFFFFFFFFu);  // response count
-    Frame frame{FrameType::kResponseBatch, kVersionMin, std::move(writer).Take()};
+    Frame frame{FrameType::kResponseBatch, std::move(writer).Take()};
     ResponseBatch decoded;
     EXPECT_FALSE(DecodeResponseBatch(frame, &decoded).ok());
   }
   {
     PayloadWriter writer;
+    writer.U32(0);
+    writer.U64(0);
     writer.U32(1);            // one response...
     writer.U32(3);            // left
     writer.U64(0);            // candidates
     writer.U64(0);            // verifications
     writer.U32(0xFFFFFFFFu);  // ...claiming 4G matches
-    Frame frame{FrameType::kResponseBatch, kVersionMin, std::move(writer).Take()};
+    Frame frame{FrameType::kResponseBatch, std::move(writer).Take()};
     ResponseBatch decoded;
     EXPECT_FALSE(DecodeResponseBatch(frame, &decoded).ok());
   }
@@ -351,9 +361,13 @@ TEST(DistributedWireTest, ProbeBatchRejectsUnknownFlags) {
   ProbeRequest request;
   request.left = 1;
   Frame frame = EncodeProbeBatch(std::span<const ProbeRequest>(&request, 1));
-  // flags byte sits right after the count (u32) and left (u32).
-  frame.payload[8] = 0x02;
+  // The flags byte sits right after the epoch (u32), sequence number
+  // (u64), count (u32) and left (u32); bit 0 is the only defined flag.
   ProbeBatch decoded;
+  frame.payload[20] = 0x01;
+  ASSERT_TRUE(DecodeProbeBatch(frame, &decoded).ok());
+  EXPECT_TRUE(decoded.probes[0].exclude_left_and_below);
+  frame.payload[20] = 0x02;
   EXPECT_FALSE(DecodeProbeBatch(frame, &decoded).ok());
 }
 
@@ -436,26 +450,22 @@ TEST(DistributedWireTest, ProbeBatchV2CarriesEpochAndSeq) {
   request.keys = {11, 12};
   const std::span<const ProbeRequest> batch(&request, 1);
 
-  Frame v2 = EncodeProbeBatch(batch, /*version=*/2, /*epoch=*/3, /*seq=*/9);
-  EXPECT_EQ(v2.version, 2);
+  Frame frame = EncodeProbeBatch(batch, /*epoch=*/3, /*seq=*/9);
+  // The payload opens with the u32 epoch and u64 sequence number.
+  ASSERT_GE(frame.payload.size(), 12u);
+  uint32_t epoch = 0;
+  uint64_t seq = 0;
+  std::memcpy(&epoch, frame.payload.data(), 4);
+  std::memcpy(&seq, frame.payload.data() + 4, 8);
+  EXPECT_EQ(epoch, 3u);
+  EXPECT_EQ(seq, 9u);
   ProbeBatch decoded;
-  ASSERT_TRUE(DecodeProbeBatch(v2, &decoded).ok());
+  ASSERT_TRUE(DecodeProbeBatch(frame, &decoded).ok());
   EXPECT_EQ(decoded.epoch, 3u);
   EXPECT_EQ(decoded.seq, 9u);
   ASSERT_EQ(decoded.probes.size(), 1u);
   EXPECT_EQ(decoded.probes[0].left, 42u);
-
-  // A v1 frame has no epoch/seq prefix; the decoder must leave the
-  // defaults and read the same body.
-  Frame v1 = EncodeProbeBatch(batch);
-  EXPECT_EQ(v1.version, kVersionMin);
-  EXPECT_EQ(v1.payload.size() + 12, v2.payload.size());
-  ProbeBatch old;
-  ASSERT_TRUE(DecodeProbeBatch(v1, &old).ok());
-  EXPECT_EQ(old.epoch, 0u);
-  EXPECT_EQ(old.seq, 0u);
-  ASSERT_EQ(old.probes.size(), 1u);
-  EXPECT_EQ(old.probes[0].keys, request.keys);
+  EXPECT_EQ(decoded.probes[0].keys, request.keys);
 }
 
 TEST(DistributedWireTest, ResponseBatchV2CarriesEpochAndSeq) {
@@ -466,23 +476,15 @@ TEST(DistributedWireTest, ResponseBatchV2CarriesEpochAndSeq) {
   response.verifications = 2;
   const std::span<const ProbeResponse> batch(&response, 1);
 
-  Frame v2 =
-      EncodeResponseBatch(batch, /*version=*/2, /*epoch=*/1, /*seq=*/4);
-  EXPECT_EQ(v2.version, 2);
+  Frame frame = EncodeResponseBatch(batch, /*epoch=*/1, /*seq=*/4);
   ResponseBatch decoded;
-  ASSERT_TRUE(DecodeResponseBatch(v2, &decoded).ok());
+  ASSERT_TRUE(DecodeResponseBatch(frame, &decoded).ok());
   EXPECT_EQ(decoded.epoch, 1u);
   EXPECT_EQ(decoded.seq, 4u);
   ASSERT_EQ(decoded.responses.size(), 1u);
   EXPECT_EQ(decoded.responses[0].left, 7u);
   ASSERT_EQ(decoded.responses[0].matches.size(), 1u);
   EXPECT_EQ(decoded.responses[0].matches[0].id, 3u);
-
-  Frame v1 = EncodeResponseBatch(batch);
-  ResponseBatch old;
-  ASSERT_TRUE(DecodeResponseBatch(v1, &old).ok());
-  EXPECT_EQ(old.epoch, 0u);
-  EXPECT_EQ(old.seq, 0u);
 }
 
 TEST(DistributedWireTest, ReassignmentRandomizedRoundTrip) {
@@ -494,7 +496,6 @@ TEST(DistributedWireTest, ReassignmentRandomizedRoundTrip) {
     reassignment.assignment = RandomAssignment(&rng);
     Frame frame = EncodeReassignment(reassignment);
     EXPECT_EQ(frame.type, FrameType::kReassignment);
-    EXPECT_EQ(frame.version, 2);
     ReassignmentFrame decoded;
     ASSERT_TRUE(DecodeReassignment(frame, &decoded).ok());
     EXPECT_EQ(decoded.epoch, reassignment.epoch);

@@ -23,7 +23,7 @@ namespace test {
 
 /// A collision-free temp file path "<TempDir>/<stem>_<pid>_<self><suffix>".
 /// Pass the fixture's `this` as \p self; \p suffix is the extension
-/// (e.g. ".skidx") or empty.
+/// (e.g. ".skf") or empty.
 inline std::string TempPath(const std::string& stem, const void* self,
                             const std::string& suffix = "") {
   return ::testing::TempDir() + "/" + stem + "_" +
